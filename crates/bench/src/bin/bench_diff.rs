@@ -150,9 +150,9 @@ fn check_drop(
     }
 }
 
-/// The scheduled-engine worker sweep `(workers, tx_per_sec)` rows of a
-/// scan document. Rows without a `mode` field (pre-sweep baselines)
-/// count as scheduled.
+/// The engine worker sweep `(workers, tx_per_sec)` rows of a scan
+/// document. Rows without a `mode` field (the current format) and
+/// `scheduled` rows (older files) count; older `naive` rows do not.
 fn sweep_rows(doc: &Json, file: &str) -> Vec<(u64, f64)> {
     doc.get("parallel")
         .and_then(Json::as_arr)
@@ -163,7 +163,7 @@ fn sweep_rows(doc: &Json, file: &str) -> Vec<(u64, f64)> {
         .collect()
 }
 
-/// The `scaling_monotonic` gate: scaling a scheduled scan from 2 to 8
+/// The `scaling_monotonic` gate: scaling an engine scan from 2 to 8
 /// workers must never *lose* throughput (beyond `tolerance_pct` of timer
 /// noise). Returns the violation message, if any; `None` when either row
 /// is absent (smoke runs sweep fewer worker counts).
@@ -231,7 +231,7 @@ fn main() -> ExitCode {
 
     // ----- scan: worker-scaling gates --------------------------------------
     // The speedup floor holds the committed full-run baseline to the
-    // scheduler's contract; the fresh run is only held to it when it
+    // engine's contract; the fresh run is only held to it when it
     // measured the same corpus (CI smoke corpora are tiny and noisy).
     for (doc, path, gated) in [
         (&base_scan, &base_scan_path, true),

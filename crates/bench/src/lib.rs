@@ -240,10 +240,9 @@ pub fn measure_throughput(
 }
 
 /// [`measure_throughput`] with a caller-built engine, so sweeps can time
-/// configuration variants (`with_naive_chunking`,
-/// `allow_oversubscription`, chunk-size hints) against one another.
-/// `workers` here is only the label recorded in the run — the engine's
-/// own worker count governs the scan.
+/// configuration variants (`allow_oversubscription`, chunk sizes)
+/// against one another. `workers` here is only the label recorded in the
+/// run — the engine's own worker count governs the scan.
 pub fn measure_engine_throughput(
     world: &World,
     txs: impl Iterator<Item = ethsim::TxId>,

@@ -242,7 +242,7 @@ impl ResilientScan {
 
     /// The input positions of the quarantined transactions, in input
     /// order. Useful for asserting that two scans of the same corpus —
-    /// serial and wave-scheduled, say — sidelined exactly the same
+    /// serial and parallel, say — sidelined exactly the same
     /// records.
     pub fn quarantined_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.quarantines().map(|q| q.index)
@@ -702,10 +702,6 @@ impl<S: MetricsSink> MetricsSink for FaultInjector<S> {
     fn quarantined(&self) {
         self.inner.quarantined();
     }
-
-    fn scheduled(&self, stats: &crate::sched::SchedStats) {
-        self.inner.scheduled(stats);
-    }
 }
 
 /// One worker's front of a [`FaultInjector`]: injection state is shared
@@ -747,10 +743,6 @@ impl<F: MetricsSink> MetricsSink for FaultFront<'_, F> {
 
     fn quarantined(&self) {
         self.inner.quarantined();
-    }
-
-    fn scheduled(&self, stats: &crate::sched::SchedStats) {
-        self.inner.scheduled(stats);
     }
 }
 

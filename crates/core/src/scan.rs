@@ -13,11 +13,12 @@
 //!   Resolution goes through the cache once per distinct address *per
 //!   corpus* instead of per transaction. The cache is only valid for one
 //!   `(labels, creations)` context; build a fresh one per [`ChainView`].
-//! * [`ScanEngine`] — fans a batch of transactions over a work-stealing
-//!   worker pool (crossbeam deque of chunk descriptors), every worker
-//!   sharing one `TagCache`. Results come back in **input order**
-//!   regardless of which worker processed which chunk, so a parallel scan
-//!   is byte-for-byte comparable with a serial loop over the same slice.
+//! * [`ScanEngine`] — cuts a batch into fixed-size chunks in input order
+//!   and fans them over a worker pool (workers claim the next chunk from
+//!   a shared counter), every worker sharing one `TagCache`. Results come
+//!   back in **input order** regardless of which worker processed which
+//!   chunk, so a parallel scan is byte-for-byte comparable with a serial
+//!   loop over the same slice.
 //!
 //! ```
 //! use leishen::{ChainView, DetectorConfig, Labels, LeiShen, ScanEngine};
@@ -34,10 +35,9 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::deque::{Injector, Steal};
 use ethsim::{validate_record, Address, CreationIndex, TxRecord};
 use parking_lot::{Mutex, RwLock};
 
@@ -47,7 +47,6 @@ use crate::resilience::{
     payload_message, stage_of_payload, Fault, Quarantine, ResilienceConfig, ResilientScan,
     Verdict,
 };
-use crate::sched::WavePlan;
 use crate::tagging::{tag_of, Tag};
 use crate::telemetry::{MetricsSink, NoopSink, RecordingSink};
 use crate::trace::{Decision, FlightRecorder, NoopTracer, Reason, TraceBuilder, TraceSink};
@@ -114,9 +113,9 @@ pub struct TagCache {
     // double as the cache's contention profile.
     shard_misses: [AtomicU64; SHARD_COUNT],
     // Lock acquisitions that found the shard already held (the try-lock
-    // fast path failed and the caller had to wait). With conflict-aware
-    // scheduling keeping concurrent workers on disjoint working sets,
-    // this should stay near zero even under contention-heavy corpora.
+    // fast path failed and the caller had to wait). Worker fronts answer
+    // warm lookups from the lock-free snapshot, so on a warm cache this
+    // only counts cold-miss collisions.
     shard_lock_waits: [AtomicU64; SHARD_COUNT],
     // Bumped after every insert; `snapshot` is rebuilt only when its
     // recorded generation falls behind this counter.
@@ -143,8 +142,8 @@ pub struct ShardStat {
     /// lock, so this is the shard's share of write contention.
     pub inserts: u64,
     /// Lock acquisitions on the shard that found it already held and had
-    /// to wait (read or write). The scheduler exists to keep this near
-    /// zero: concurrent chunks come from disjoint affinity clusters.
+    /// to wait (read or write): the shard's contention, paid only on
+    /// lookups that miss the worker fronts.
     pub lock_waits: u64,
 }
 
@@ -426,7 +425,6 @@ pub struct ScanEngine {
     workers: usize,
     chunk_size: usize,
     oversubscribe: bool,
-    scheduled: bool,
 }
 
 impl ScanEngine {
@@ -437,27 +435,16 @@ impl ScanEngine {
             workers: workers.max(1),
             chunk_size: 32,
             oversubscribe: false,
-            scheduled: true,
         }
     }
 
-    /// Overrides how many transactions each stolen work item carries.
-    /// Under the conflict-aware scheduler (the default) this is a
-    /// *ceiling*: the [`WavePlan`] adapts the chunk size down for small
-    /// batches so every worker still gets work. Smaller chunks balance
-    /// better; larger chunks amortize queue traffic. Minimum 1.
+    /// Overrides how many consecutive transactions each work item
+    /// carries (default 32). The batch is cut into runs of exactly this
+    /// size in input order, the last run taking the remainder. Smaller
+    /// chunks balance better; larger chunks amortize the per-chunk
+    /// claim and result hand-off. Minimum 1.
     pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
         self.chunk_size = chunk_size.max(1);
-        self
-    }
-
-    /// Disables the conflict-aware scheduler: the batch is cut into
-    /// fixed-size chunks in input order, the pre-`leishen::sched`
-    /// behavior. Kept so the throughput bench can measure scheduled vs
-    /// naive chunking on an otherwise identical engine; both produce
-    /// identical analyses, in input order.
-    pub fn with_naive_chunking(mut self) -> Self {
-        self.scheduled = false;
         self
     }
 
@@ -688,30 +675,18 @@ impl ScanEngine {
                 .collect();
         }
 
-        // Plan the batch: conflict-aware waves by default, the legacy
-        // blind fixed-size chunking under `with_naive_chunking`. Either
-        // way the plan's order is a permutation of the input indices and
-        // verdicts scatter back to input positions below, so scheduling
-        // never changes what the scan returns — only which worker
-        // analyzes what, and when.
-        let plan = if self.scheduled {
-            WavePlan::build(txs, view.creations(), workers, self.chunk_size)
-        } else {
-            WavePlan::naive(txs.len(), self.chunk_size)
-        };
-        let workers = workers.min(plan.chunk_count()).max(1);
-
-        // Chunk descriptors go into a shared injector; workers steal
-        // them until it runs dry. Completed chunks are published into
+        // Fixed-size chunks in input order: chunk `c` covers inputs
+        // `c * chunk_size ..`, so results reassemble by concatenation.
+        // Workers claim chunk indices from a shared counter until it
+        // runs past the end. Completed chunks are published into
         // index-keyed slots immediately, so work a worker finished
         // before dying is never lost with it.
-        let injector: Injector<usize> = Injector::new();
-        for chunk_idx in 0..plan.chunk_count() {
-            injector.push(chunk_idx);
-        }
+        let chunk_size = self.chunk_size;
+        let chunk_count = txs.len().div_ceil(chunk_size);
+        let chunk_range = |c: usize| c * chunk_size..((c + 1) * chunk_size).min(txs.len());
+        let next_chunk = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Vec<Verdict>>>> =
-            (0..plan.chunk_count()).map(|_| Mutex::new(None)).collect();
-        let steal_retries = AtomicU64::new(0);
+            (0..chunk_count).map(|_| Mutex::new(None)).collect();
 
         let scope_result = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -722,41 +697,36 @@ impl ScanEngine {
                         let front = sink.worker_front();
                         let tfront = tracer.worker_front();
                         loop {
-                            match injector.steal() {
-                                Steal::Success(chunk_idx) => {
-                                    let verdicts: Vec<Verdict> = plan
-                                        .chunk_indices(chunk_idx)
-                                        .iter()
-                                        .map(|&input| {
-                                            let input = input as usize;
-                                            analyze_guarded(
-                                                detector,
-                                                txs[input],
-                                                input,
-                                                view,
-                                                &mut tags,
-                                                &mut scratch,
-                                                &front,
-                                                &tfront,
-                                                policy,
-                                            )
-                                        })
-                                        .collect();
-                                    *slots[chunk_idx].lock() = Some(verdicts);
-                                }
-                                Steal::Empty => break,
-                                Steal::Retry => {
-                                    steal_retries.fetch_add(1, Ordering::Relaxed);
-                                    continue;
-                                }
+                            // Relaxed: the counter only hands out indices;
+                            // verdicts reach the caller through the slot
+                            // mutexes and the scope join.
+                            let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
+                            if chunk >= chunk_count {
+                                break;
                             }
+                            let verdicts: Vec<Verdict> = chunk_range(chunk)
+                                .map(|index| {
+                                    analyze_guarded(
+                                        detector,
+                                        txs[index],
+                                        index,
+                                        view,
+                                        &mut tags,
+                                        &mut scratch,
+                                        &front,
+                                        &tfront,
+                                        policy,
+                                    )
+                                })
+                                .collect();
+                            *slots[chunk].lock() = Some(verdicts);
                         }
                     })
                 })
                 .collect();
             // Join every worker, collecting panic payloads instead of
             // propagating the first one — the rest of the pool gets to
-            // finish draining the injector either way.
+            // finish draining the chunk counter either way.
             let mut panics: Vec<Box<dyn Any + Send>> = Vec::new();
             for handle in handles {
                 if let Err(payload) = handle.join() {
@@ -780,21 +750,12 @@ impl ScanEngine {
             }
         }
 
-        // Scatter reassembly: chunk `i`'s verdicts land at the *input*
-        // positions `plan.chunk_indices(i)` names, so the output is in
-        // input order whatever the wave layout was — and a quarantine's
-        // recorded index is the input index, unchanged by scheduling.
-        let mut out: Vec<Option<Verdict>> = Vec::with_capacity(txs.len());
-        out.resize_with(txs.len(), || None);
-        for (chunk_idx, slot) in slots.into_iter().enumerate() {
+        let mut out: Vec<Verdict> = Vec::with_capacity(txs.len());
+        for (chunk, slot) in slots.into_iter().enumerate() {
             match slot.into_inner() {
-                Some(chunk) => {
-                    for (&input, verdict) in plan.chunk_indices(chunk_idx).iter().zip(chunk) {
-                        out[input as usize] = Some(verdict);
-                    }
-                }
+                Some(verdicts) => out.extend(verdicts),
                 None => {
-                    // A worker died between stealing this chunk and
+                    // A worker died between claiming this chunk and
                     // publishing it (possible under a resilience policy
                     // only if the fault escaped the per-transaction
                     // guard). Reprocess the chunk on the calling thread
@@ -803,31 +764,23 @@ impl ScanEngine {
                     let mut scratch = AnalysisScratch::default();
                     let front = sink.worker_front();
                     let tfront = tracer.worker_front();
-                    for &input in plan.chunk_indices(chunk_idx) {
-                        let input = input as usize;
-                        out[input] = Some(analyze_guarded(
+                    out.extend(chunk_range(chunk).map(|index| {
+                        analyze_guarded(
                             detector,
-                            txs[input],
-                            input,
+                            txs[index],
+                            index,
                             view,
                             &mut tags,
                             &mut scratch,
                             &front,
                             &tfront,
                             policy,
-                        ));
-                    }
+                        )
+                    }));
                 }
             }
         }
-        if S::ENABLED {
-            let mut stats = plan.stats();
-            stats.steal_retries = steal_retries.load(Ordering::Relaxed);
-            sink.scheduled(&stats);
-        }
-        out.into_iter()
-            .map(|v| v.expect("the wave plan schedules every input index exactly once"))
-            .collect()
+        out
     }
 }
 

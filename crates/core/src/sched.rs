@@ -1,58 +1,43 @@
-//! Locality- and conflict-aware scheduling for batch scans.
+//! Batch-affinity diagnostic: how much of a batch shares a working set.
 //!
-//! The [`crate::scan::ScanEngine`] used to cut a batch into fixed-size
-//! chunks in input order and let workers steal them blindly. That keeps
-//! every worker busy but ignores *what the transactions touch*: two
-//! transactions hitting the same venue, flash-loan provider, or attacker
-//! creation tree resolve the same tags, so scattering them across workers
-//! multiplies cold front misses and shard-lock traffic on the shared
-//! [`crate::scan::TagCache`], while putting them back to back on one
-//! worker turns the second resolution into an unsynchronized local hit.
+//! Two transactions touching the same venue, flash-loan provider, or
+//! attacker creation tree resolve the same tags. This module measures how
+//! a batch clusters along those lines, in two layers:
 //!
-//! This module plans a batch before any worker starts, in three layers:
-//!
-//! 1. **Access-set estimation** ([`access_set`]) — a cheap pre-pass over
-//!    each [`TxRecord`]'s transfer journal that collects the
-//!    creation-tree roots of every touched address (initiator, entry
-//!    point, and both sides of every transfer), reusing the
-//!    [`CreationIndex`] ancestry the tagging stage walks anyway. The root
-//!    is exactly the identity tag propagation groups by (Fig. 7b), so two
-//!    transactions with overlapping root sets will resolve overlapping
-//!    tag sets.
+//! 1. **Access-set estimation** ([`access_set`]) — a pre-pass over each
+//!    [`TxRecord`]'s transfer journal that collects the creation-tree
+//!    roots of every touched address (initiator, entry point, and both
+//!    sides of every transfer). The root is exactly the identity tag
+//!    propagation groups by (Fig. 7b), so two transactions with
+//!    overlapping root sets resolve overlapping tag sets.
 //! 2. **Affinity partitioning** ([`WavePlan::build`]) — a union-find pass
-//!    clusters transactions whose access sets overlap (shared ancestry ⇒
-//!    shared cache working set), then lays the clusters out in *waves* in
-//!    the spirit of pevm-style maximal-independent-set scheduling: each
-//!    wave holds at most one chunk per cluster, so chunks running
-//!    concurrently come from *disjoint* clusters and touch disjoint
-//!    working sets, while consecutive chunks of one cluster reuse a hot
-//!    front. Chunk size adapts to the batch: small batches get small
-//!    chunks so every worker still gets work, large batches get chunks
-//!    capped by the engine's configured hint.
-//! 3. **Contention telemetry** ([`SchedStats`]) — the plan's shape
-//!    (clusters, waves, chunks, adaptive chunk size) plus the engine's
-//!    steal-retry count, delivered through
-//!    [`MetricsSink::scheduled`](crate::telemetry::MetricsSink::scheduled)
-//!    so benches can attribute scaling wins next to the cache's hit-rate
-//!    and shard-contention counters.
+//!    clusters transactions whose access sets overlap, then lays the
+//!    clusters out in *waves*: each wave holds at most one chunk per
+//!    cluster, so chunks in one wave touch disjoint working sets.
+//!    [`SchedStats`] reports the result: clusters, the largest cluster,
+//!    waves and chunks.
 //!
-//! The plan is a pure reordering: [`WavePlan::order`] is a permutation of
-//! the input indices, and the engine scatters verdicts back to input
-//! positions, so a scheduled scan stays byte-for-byte identical to the
-//! serial loop — the wave structure changes *when* a transaction is
-//! analyzed, never *what* its analysis is.
+//! [`crate::scan::ScanEngine`] does not use this plan. It once did, and
+//! the measurement retired it: on the scale-0.1 wild corpus (27,485
+//! transactions) every transaction lands in **one** cluster, so the
+//! 859-wave plan is the same 859 chunks in input order that fixed
+//! chunking produces. Building it took 71–83 ms, serially on the calling
+//! thread, of a ~209 ms 2-worker pass, and that pass ran slower than one
+//! worker. The engine now cuts fixed-size chunks in input order; this
+//! module stays as the diagnostic that shows whether a corpus has the
+//! disjoint structure a conflict-aware layout would need.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::ops::Range;
 
 use ethsim::{Address, CreationIndex, TxRecord};
 
 use crate::scan::BuildFnv;
 
 /// How many chunks per worker a wave aims for. More chunks balance
-/// stealing better; fewer amortize queue traffic. Four keeps the tail
-/// (the last, partially filled wave) short without flooding the injector.
+/// better; fewer amortize per-chunk overhead. Four keeps the tail (the
+/// last, partially filled wave) short without flooding the plan with
+/// tiny chunks.
 const CHUNKS_PER_WORKER: usize = 4;
 
 /// The creation-tree roots `tx` touches: the root of the initiator, of
@@ -120,45 +105,40 @@ impl UnionFind {
     }
 }
 
-/// One schedulable chunk: a contiguous span of [`WavePlan::order`], all
-/// from one cluster, assigned to one wave.
+/// One planned chunk: a contiguous span of [`WavePlan::order`], all
+/// from one wave.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct ChunkSpan {
     start: u32,
     end: u32,
-    wave: u32,
 }
 
-/// Shape of one scheduled batch, reported through
-/// [`MetricsSink::scheduled`](crate::telemetry::MetricsSink::scheduled)
-/// and surfaced by the throughput bench.
+/// Shape of one planned batch, surfaced by the throughput bench and the
+/// benchmark's `sched.*` metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Transactions planned.
     pub transactions: usize,
-    /// Affinity clusters found (0 for a naive, unscheduled plan).
+    /// Affinity clusters found.
     pub clusters: usize,
     /// Waves the chunks were laid out into.
     pub waves: usize,
-    /// Work items pushed to the stealing queue.
+    /// Chunks the waves were cut into.
     pub chunks: usize,
     /// The adaptive chunk size the plan settled on.
     pub chunk_size: usize,
     /// Transactions in the largest single cluster — when this approaches
-    /// the batch size the corpus is one giant conflict component and
-    /// scheduling degenerates to ordered chunking.
+    /// the batch size the corpus is one giant conflict component and the
+    /// plan degenerates to ordered chunking.
     pub largest_cluster: usize,
-    /// Failed steal attempts across all workers (filled in by the engine
-    /// after the scan; 0 in the plan itself).
-    pub steal_retries: u64,
 }
 
-/// A conflict-aware execution plan for one batch: a permutation of the
-/// input indices plus the chunk spans workers steal.
+/// A conflict-aware layout of one batch: a permutation of the input
+/// indices plus the chunk spans it cuts them into.
 #[derive(Clone, Debug)]
 pub struct WavePlan {
-    /// Wave-major permutation of `0..n`: the scan processes
-    /// `txs[order[i]]` at schedule position `i`.
+    /// Wave-major permutation of `0..n`: the layout puts `txs[order[i]]`
+    /// at schedule position `i`.
     order: Vec<u32>,
     chunks: Vec<ChunkSpan>,
     stats: SchedStats,
@@ -174,7 +154,7 @@ impl WavePlan {
     /// transactions always share a chunk, so one worker front serves the
     /// whole conflict set — and small clusters are packed together up to
     /// the adaptive target so singleton transactions do not flood the
-    /// queue with one-item chunks. Only clusters larger than the hint
+    /// plan with one-item chunks. Only clusters larger than the hint
     /// split, into hint-sized pieces laid out across consecutive waves.
     pub fn build(
         txs: &[&TxRecord],
@@ -237,7 +217,6 @@ impl WavePlan {
                     chunks.push(ChunkSpan {
                         start,
                         end: order.len() as u32,
-                        wave: wave as u32,
                     });
                 }
             };
@@ -269,38 +248,6 @@ impl WavePlan {
             chunks: chunks.len(),
             chunk_size,
             largest_cluster: clusters.iter().map(Vec::len).max().unwrap_or(0),
-            steal_retries: 0,
-        };
-        WavePlan {
-            order,
-            chunks,
-            stats,
-        }
-    }
-
-    /// The blind legacy layout: identity order, fixed `chunk_size`
-    /// chunks, no clustering. Kept so the bench can measure scheduled vs
-    /// naive on the same engine code path.
-    pub fn naive(n: usize, chunk_size: usize) -> WavePlan {
-        let chunk_size = chunk_size.max(1);
-        let order: Vec<u32> = (0..n as u32).collect();
-        let chunks: Vec<ChunkSpan> = (0..n)
-            .step_by(chunk_size)
-            .enumerate()
-            .map(|(i, start)| ChunkSpan {
-                start: start as u32,
-                end: ((start + chunk_size).min(n)) as u32,
-                wave: i as u32,
-            })
-            .collect();
-        let stats = SchedStats {
-            transactions: n,
-            clusters: 0,
-            waves: chunks.len(),
-            chunks: chunks.len(),
-            chunk_size,
-            largest_cluster: 0,
-            steal_retries: 0,
         };
         WavePlan {
             order,
@@ -314,39 +261,22 @@ impl WavePlan {
         &self.order
     }
 
-    /// Number of stealable work items.
+    /// Number of planned chunks.
     pub fn chunk_count(&self) -> usize {
         self.chunks.len()
     }
 
-    /// The schedule positions covered by chunk `i` (index into
-    /// [`WavePlan::order`]).
-    pub fn chunk_range(&self, i: usize) -> Range<usize> {
-        let c = self.chunks[i];
-        c.start as usize..c.end as usize
-    }
-
-    /// The *input* indices chunk `i` analyzes.
-    pub fn chunk_indices(&self, i: usize) -> &[u32] {
-        &self.order[self.chunk_range(i)]
-    }
-
-    /// Which wave chunk `i` belongs to.
-    pub fn wave_of(&self, i: usize) -> usize {
-        self.chunks[i].wave as usize
-    }
-
-    /// The plan's shape (with `steal_retries` still zero).
+    /// The plan's shape.
     pub fn stats(&self) -> SchedStats {
         self.stats
     }
 }
 
 /// The chunk size for a batch of `n` over `workers` workers: aim for
-/// [`CHUNKS_PER_WORKER`] chunks per worker, never exceeding the engine's
-/// configured `chunk_hint` and never below 1. A 64-transaction batch on 4
-/// workers gets 4-transaction chunks (every worker busy); a 10k batch
-/// keeps the hint-sized chunks that amortize queue traffic.
+/// [`CHUNKS_PER_WORKER`] chunks per worker, never exceeding
+/// `chunk_hint` and never below 1. A 64-transaction batch on 4 workers
+/// gets 4-transaction chunks (every worker busy); a 10k batch keeps the
+/// hint-sized chunks that amortize per-chunk overhead.
 fn adaptive_chunk_size(n: usize, workers: usize, chunk_hint: usize) -> usize {
     n.div_ceil(workers.max(1) * CHUNKS_PER_WORKER)
         .clamp(1, chunk_hint.max(1))
@@ -429,8 +359,9 @@ mod tests {
         // them; the cluster fits one chunk, so they share a chunk — and
         // therefore a wave and a worker front.
         let chunk_of = |input: u32| {
-            (0..plan.chunk_count())
-                .find(|&c| plan.chunk_indices(c).contains(&input))
+            plan.chunks
+                .iter()
+                .position(|c| plan.order[c.start as usize..c.end as usize].contains(&input))
                 .expect("every tx is scheduled")
         };
         assert_eq!(chunk_of(0), chunk_of(2), "laundered txs share a chunk");
@@ -457,9 +388,6 @@ mod tests {
             stats.chunks >= 4,
             "a 4-worker pool gets at least one chunk per worker"
         );
-        for c in 0..plan.chunk_count() {
-            assert_eq!(plan.wave_of(c), 0);
-        }
     }
 
     #[test]
@@ -475,23 +403,21 @@ mod tests {
             })
             .collect();
         let txs: Vec<&TxRecord> = records.iter().collect();
-        for plan in [WavePlan::build(&txs, &idx, 3, 8), WavePlan::naive(37, 8)] {
-            let mut seen = [false; 37];
-            for &i in plan.order() {
-                assert!(!seen[i as usize], "index {i} scheduled twice");
-                seen[i as usize] = true;
-            }
-            assert!(seen.iter().all(|&s| s), "every index scheduled");
-            // Chunks tile the order exactly, in position order.
-            let mut pos = 0;
-            for c in 0..plan.chunk_count() {
-                let r = plan.chunk_range(c);
-                assert_eq!(r.start, pos);
-                assert!(r.end > r.start);
-                pos = r.end;
-            }
-            assert_eq!(pos, 37);
+        let plan = WavePlan::build(&txs, &idx, 3, 8);
+        let mut seen = [false; 37];
+        for &i in plan.order() {
+            assert!(!seen[i as usize], "index {i} scheduled twice");
+            seen[i as usize] = true;
         }
+        assert!(seen.iter().all(|&s| s), "every index scheduled");
+        // Chunks tile the order exactly, in position order.
+        let mut pos = 0;
+        for c in &plan.chunks {
+            assert_eq!(c.start, pos);
+            assert!(c.end > c.start);
+            pos = c.end;
+        }
+        assert_eq!(pos, 37);
     }
 
     #[test]

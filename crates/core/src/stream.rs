@@ -13,7 +13,7 @@
 //! * **Scan** — a scanner thread drains the ingest queue one block at a
 //!   time and runs each block through
 //!   [`ScanEngine::scan_resilient_with`], so streamed blocks get the
-//!   same conflict-aware scheduling, shared [`TagCache`], telemetry and
+//!   same input-order chunking, shared [`TagCache`], telemetry and
 //!   provenance wiring as a batch scan. Each block is one telemetry /
 //!   trace epoch: worker fronts merge into the shared sinks when the
 //!   block's scan completes, so per-block counters land as the block

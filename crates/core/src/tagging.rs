@@ -124,10 +124,10 @@ impl TagMap {
         TagMap { tags }
     }
 
-    /// Tag of `addr`; addresses outside the built set get computed lazily
-    /// as `Root(addr)` fallbacks would be wrong, so this returns
-    /// `Tag::Unknown` style fallback by address — callers should build the
-    /// map over all relevant addresses first.
+    /// Tag of `addr`. The zero address is [`Tag::BlackHole`]; an address
+    /// outside the built set falls back to `Tag::Root(addr)`, which is
+    /// only right for an address with no creator and no labelled relative,
+    /// so callers should build the map over all relevant addresses first.
     pub fn get(&self, addr: Address) -> Tag {
         if addr.is_zero() {
             return Tag::BlackHole;
@@ -165,7 +165,9 @@ pub fn tag_of(addr: Address, labels: &Labels, creations: &CreationIndex) -> Tag 
         }
     }
     let mut found: Vec<&str> = Vec::new();
+    let mut root = addr;
     for anc in creations.ancestors(addr) {
+        root = anc;
         if let Some(app) = labels.get(anc) {
             push(&mut found, app);
         }
@@ -177,7 +179,7 @@ pub fn tag_of(addr: Address, labels: &Labels, creations: &CreationIndex) -> Tag 
     }
     match found.len() {
         1 => Tag::App(Arc::from(found[0])),
-        0 => Tag::Root(creations.root(addr)),
+        0 => Tag::Root(root),
         _ => Tag::Unknown(addr),
     }
 }

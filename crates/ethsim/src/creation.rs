@@ -37,7 +37,7 @@ pub struct CreationRecord {
 /// ]);
 /// assert_eq!(idx.parent(pool), Some(factory));
 /// assert_eq!(idx.root(pool), eoa);
-/// assert_eq!(idx.ancestors(pool), vec![factory, eoa]);
+/// assert!(idx.ancestors(pool).eq([factory, eoa]));
 /// assert_eq!(idx.descendants(eoa), vec![factory, pool]);
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -67,22 +67,12 @@ impl CreationIndex {
         self.children.get(&addr).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// All ancestors of `addr`, nearest first (excludes `addr`).
-    pub fn ancestors(&self, addr: Address) -> Vec<Address> {
-        let mut out = Vec::new();
-        let mut cur = addr;
-        // Creation graphs are trees (an address is created once); the loop
-        // bound still guards against corrupted inputs.
-        for _ in 0..1024 {
-            match self.parent(cur) {
-                Some(p) => {
-                    out.push(p);
-                    cur = p;
-                }
-                None => break,
-            }
-        }
-        out
+    /// All ancestors of `addr`, nearest first (excludes `addr`), walked
+    /// through the parent links without allocating. Creation graphs are
+    /// trees (an address is created once); the step bound still guards
+    /// against corrupted inputs.
+    pub fn ancestors(&self, addr: Address) -> impl Iterator<Item = Address> + '_ {
+        std::iter::successors(self.parent(addr), |&p| self.parent(p)).take(1024)
     }
 
     /// The root of `addr`'s creation tree — the EOA that ultimately
@@ -90,7 +80,7 @@ impl CreationIndex {
     /// creator). The paper tags unknown accounts with no application tag by
     /// this root address (Fig. 7b).
     pub fn root(&self, addr: Address) -> Address {
-        self.ancestors(addr).last().copied().unwrap_or(addr)
+        self.ancestors(addr).last().unwrap_or(addr)
     }
 
     /// All transitive creations of `addr`, preorder (excludes `addr`).
@@ -137,7 +127,7 @@ mod tests {
         assert_eq!(idx.parent(a), None);
         assert!(idx.children(a).is_empty());
         assert_eq!(idx.root(a), a);
-        assert!(idx.ancestors(a).is_empty());
+        assert_eq!(idx.ancestors(a).next(), None);
         assert!(idx.descendants(a).is_empty());
         assert_eq!(idx.tree_of(a), vec![a]);
     }
@@ -149,7 +139,7 @@ mod tests {
         let p1 = Address::from_u64(3);
         let p2 = Address::from_u64(4);
         let idx = CreationIndex::new(&[rec(eoa, factory), rec(factory, p1), rec(factory, p2)]);
-        assert_eq!(idx.ancestors(p1), vec![factory, eoa]);
+        assert!(idx.ancestors(p1).eq([factory, eoa]));
         assert_eq!(idx.root(p1), eoa);
         assert_eq!(idx.root(eoa), eoa);
         assert_eq!(idx.descendants(eoa), vec![factory, p1, p2]);

@@ -137,7 +137,62 @@ impl std::fmt::Display for RecordViolation {
 /// 5. frames are a pre-order call-tree walk: the first frame sits at
 ///    depth 0 and each frame deepens by at most one;
 /// 6. transfer amounts stay below [`MAX_AMOUNT`].
+///
+/// Clean records, the overwhelming majority, are confirmed by an
+/// allocation-free pass; only a record that fails it pays for the full
+/// check that names every violation.
 pub fn validate_record(tx: &TxRecord) -> Vec<RecordViolation> {
+    if is_clean(tx) {
+        Vec::new()
+    } else {
+        validate_full(tx)
+    }
+}
+
+/// Whether `tx` upholds every invariant [`validate_record`] checks, in one
+/// pass and without allocating.
+///
+/// The seq streams are merged greedily: at each step the next expected
+/// seq must sit at the head of one stream. That consumes `0..n` exactly
+/// when every stream strictly increases and their union is `0..n` with
+/// no duplicates, which is invariants 1, 3 and 4. With the union equal
+/// to `0..n`, invariant 2 reduces to one bound on `n`. Accepts a record
+/// exactly when [`validate_full`] finds nothing.
+fn is_clean(tx: &TxRecord) -> bool {
+    let trace = &tx.trace;
+    let n = trace.len();
+    if n as u64 >= (1u64 << SpanId::SEQ_BITS) - 1 {
+        return false;
+    }
+    let (transfers, logs, frames) = (&trace.transfers, &trace.logs, &trace.frames);
+    let (mut t, mut l, mut f) = (0, 0, 0);
+    for expected in 0..n as u32 {
+        if transfers.get(t).is_some_and(|x| x.seq == expected) {
+            if transfers[t].amount >= MAX_AMOUNT {
+                return false;
+            }
+            t += 1;
+        } else if logs.get(l).is_some_and(|x| x.seq == expected) {
+            l += 1;
+        } else if let Some(frame) = frames.get(f).filter(|x| x.seq == expected) {
+            let max_depth = match f.checked_sub(1) {
+                Some(prev) => u32::from(frames[prev].depth) + 1,
+                None => 0,
+            };
+            if u32::from(frame.depth) > max_depth {
+                return false;
+            }
+            f += 1;
+        } else {
+            return false;
+        }
+    }
+    true
+}
+
+/// The full check behind [`validate_record`]: every violation, in check
+/// order.
+fn validate_full(tx: &TxRecord) -> Vec<RecordViolation> {
     let trace = &tx.trace;
     let mut violations = Vec::new();
 
@@ -198,7 +253,7 @@ pub fn validate_record(tx: &TxRecord) -> Vec<RecordViolation> {
         }
     }
     for pair in trace.frames.windows(2) {
-        if pair[1].depth > pair[0].depth + 1 {
+        if u32::from(pair[1].depth) > u32::from(pair[0].depth) + 1 {
             violations.push(RecordViolation::DepthJump { seq: pair[1].seq });
             break;
         }
@@ -254,6 +309,23 @@ mod tests {
                 Ok(())
             })
             .expect("payment succeeds");
+
+        // Nested calls interleave all three streams.
+        chain
+            .execute(alice, bob, "route", |ctx| {
+                ctx.call(alice, bob, "route", 0, |outer| {
+                    outer.transfer_token(token, alice, bob, 10)?;
+                    outer.call(bob, deployer, "hop", 0, |inner| {
+                        inner.transfer_token(token, bob, deployer, 5)?;
+                        inner.emit_log(deployer, "Hop", vec![]);
+                        Ok(())
+                    })?;
+                    outer.emit_log(bob, "Routed", vec![]);
+                    outer.transfer_token(token, bob, alice, 1)?;
+                    Ok(())
+                })
+            })
+            .expect("routing succeeds");
 
         // A reverting transaction still records a valid trace prefix.
         chain
@@ -480,5 +552,151 @@ mod tests {
             },
         };
         assert_eq!(validate_record(&record), Vec::new());
+    }
+
+    /// Every seq in the trace, across all three streams.
+    fn seqs_mut(trace: &mut crate::tx::TxTrace) -> Vec<&mut u32> {
+        let transfers = trace.transfers.iter_mut().map(|t| &mut t.seq);
+        let logs = trace.logs.iter_mut().map(|l| &mut l.seq);
+        let frames = trace.frames.iter_mut().map(|c| &mut c.seq);
+        transfers.chain(logs).chain(frames).collect()
+    }
+
+    /// Applies perturbation `kind` (one field of one journal entry) to
+    /// `record`, picking the entry with `a` and `b`.
+    fn perturb(record: &mut TxRecord, kind: u8, a: usize, b: usize, delta: u32) {
+        let trace = &mut record.trace;
+        match kind {
+            // Swap two seqs.
+            0 => {
+                let mut seqs = seqs_mut(trace);
+                if seqs.len() >= 2 {
+                    let (i, j) = (a % seqs.len(), b % seqs.len());
+                    let (x, y) = (*seqs[i], *seqs[j]);
+                    *seqs[i] = y;
+                    *seqs[j] = x;
+                }
+            }
+            // Duplicate one seq onto another entry.
+            1 => {
+                let mut seqs = seqs_mut(trace);
+                if !seqs.is_empty() {
+                    let v = *seqs[a % seqs.len()];
+                    let j = b % seqs.len();
+                    *seqs[j] = v;
+                }
+            }
+            // Drop one entry.
+            2 => match a % 3 {
+                0 if !trace.transfers.is_empty() => {
+                    trace.transfers.remove(b % trace.transfers.len());
+                }
+                1 if !trace.logs.is_empty() => {
+                    trace.logs.remove(b % trace.logs.len());
+                }
+                _ if !trace.frames.is_empty() => {
+                    trace.frames.remove(b % trace.frames.len());
+                }
+                _ => {}
+            },
+            // Shift one seq.
+            3 => {
+                let mut seqs = seqs_mut(trace);
+                if !seqs.is_empty() {
+                    let i = a % seqs.len();
+                    *seqs[i] = seqs[i].wrapping_add(delta);
+                }
+            }
+            // A frame deepening by more than one.
+            4 if trace.frames.len() >= 2 => {
+                let i = 1 + a % (trace.frames.len() - 1);
+                trace.frames[i].depth = trace.frames[i - 1].depth + 2 + (delta % 3) as u16;
+            }
+            // A non-zero root depth.
+            5 => {
+                if let Some(first) = trace.frames.first_mut() {
+                    first.depth = 1 + (delta % 4) as u16;
+                }
+            }
+            // An amount at (or just under) the bound.
+            6 if !trace.transfers.is_empty() => {
+                let i = a % trace.transfers.len();
+                trace.transfers[i].amount = MAX_AMOUNT - u128::from(delta % 2);
+            }
+            // A seq at (or just under) the SpanId bound.
+            7 => {
+                let mut seqs = seqs_mut(trace);
+                if !seqs.is_empty() {
+                    let i = a % seqs.len();
+                    *seqs[i] = (1 << SpanId::SEQ_BITS) - 2 - delta % 2;
+                }
+            }
+            // Unperturbed, or nothing to perturb.
+            _ => {}
+        }
+    }
+
+    /// Asserts the fast path accepts `record` exactly when the full check
+    /// finds nothing, and that `validate_record` returns the full list.
+    fn assert_agrees(record: &TxRecord) -> Result<(), proptest::test_runner::TestCaseError> {
+        let full = validate_full(record);
+        proptest::prop_assert_eq!(is_clean(record), full.is_empty(), "{:?}", full);
+        proptest::prop_assert_eq!(validate_record(record), full);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Every single-field perturbation of every genuine record, plus
+        /// random stacks of them: the fast path and the full check agree.
+        #[test]
+        fn fast_path_agrees_with_the_full_check(
+            a in 0usize..64,
+            b in 0usize..64,
+            delta in 0u32..8,
+            stack in proptest::collection::vec(
+                (0u8..9, 0usize..64, 0usize..64, 0u32..8),
+                0..4,
+            ),
+        ) {
+            for genuine in genuine_records() {
+                for kind in 0..9 {
+                    let mut record = genuine.clone();
+                    perturb(&mut record, kind, a, b, delta);
+                    assert_agrees(&record)?;
+                }
+                let mut record = genuine;
+                for &(kind, a, b, delta) in &stack {
+                    perturb(&mut record, kind, a, b, delta);
+                }
+                assert_agrees(&record)?;
+            }
+        }
+    }
+
+    #[test]
+    fn span_bound_applies_to_clean_journals() {
+        // A contiguous, monotone journal one entry too long for the
+        // SpanId encoding: only the length bound can reject it.
+        let limit = (1u32 << SpanId::SEQ_BITS) - 1;
+        let transfer = |seq| Transfer {
+            seq,
+            sender: Address::ZERO,
+            receiver: Address::from_u64(1),
+            amount: 1,
+            token: TokenId::ETH,
+        };
+        let mut record = sample();
+        record.trace = crate::tx::TxTrace {
+            transfers: (0..limit - 1).map(transfer).collect(),
+            ..Default::default()
+        };
+        assert!(is_clean(&record));
+        assert_eq!(validate_full(&record), Vec::new());
+        record.trace.transfers.push(transfer(limit - 1));
+        assert!(!is_clean(&record));
+        assert_eq!(
+            validate_record(&record),
+            vec![RecordViolation::SeqOverflow { seq: limit - 1 }]
+        );
     }
 }

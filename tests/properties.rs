@@ -512,24 +512,56 @@ proptest! {
     }
 }
 
-// Scheduling identity: the wave-scheduled multi-worker engine is a pure
-// reordering of per-transaction work, so on ANY corpus — whatever the
-// creation forest, transfer graph, or label placement — it must produce
-// byte-identical analyses to a serial scan, as must the naive
-// fixed-chunking engine it replaced. The same holds on the resilient
-// path with corrupted records present: scheduling must not change which
-// transactions get quarantined, nor the analyses of the healthy ones.
+/// A metrics sink whose first quarantine panics: the panic escapes the
+/// per-transaction guard and kills the worker that raised it, so the
+/// engine must reprocess that worker's unpublished chunk on the calling
+/// thread.
+#[derive(Clone, Copy)]
+struct DiesOnce<'a>(&'a std::sync::atomic::AtomicBool);
+
+impl<'a> leishen::MetricsSink for DiesOnce<'a> {
+    const ENABLED: bool = true;
+
+    type WorkerFront<'b>
+        = DiesOnce<'a>
+    where
+        Self: 'b;
+
+    fn worker_front(&self) -> DiesOnce<'a> {
+        *self
+    }
+
+    fn transaction(&self, _: &leishen::TxCounters, _: &leishen::telemetry::StageLaps) {}
+
+    fn quarantined(&self) {
+        if !self.0.swap(true, std::sync::atomic::Ordering::SeqCst) {
+            panic!(
+                "{}: worker dies mid-chunk",
+                leishen::resilience::INDUCED_PANIC_PREFIX
+            );
+        }
+    }
+}
+
+// Parallel identity: the multi-worker engine splits per-transaction work
+// into input-order chunks, so on ANY corpus — whatever the creation
+// forest, transfer graph, label placement or chunk size — it must produce
+// byte-identical analyses to a serial scan. The same holds on the
+// resilient path with corrupted records present: parallelism must not
+// change which transactions get quarantined, nor the analyses of the
+// healthy ones — not even when a worker dies mid-chunk.
 proptest! {
     #[test]
-    fn scheduled_scan_matches_serial_on_arbitrary_corpora(
+    fn parallel_scan_matches_serial_on_arbitrary_corpora(
         seed in 0u64..500,
+        chunk in 1usize..9,
         specs in prop::collection::vec(
             (0usize..20, 0usize..20, 1u128..1_000_000, 0u32..3),
             1..32
         ),
     ) {
         use ethsim::{Transfer, TxId, TxRecord, TxStatus, TxTrace};
-        use leishen::{ChainView, LeiShen, ResilienceConfig, ScanEngine};
+        use leishen::{ChainView, LeiShen, NoopTracer, ResilienceConfig, ScanEngine};
 
         // The random creation-forest family the tagging properties use.
         let mut records = Vec::new();
@@ -582,24 +614,19 @@ proptest! {
 
         let detector = LeiShen::new(DetectorConfig::paper());
         let serial = ScanEngine::new(1);
-        // Small chunk hint + lifted hardware cap so the threaded,
-        // wave-planned path genuinely runs even on single-core CI.
-        let scheduled = ScanEngine::new(4).with_chunk_size(2).allow_oversubscription();
-        let naive = ScanEngine::new(4)
-            .with_chunk_size(2)
-            .allow_oversubscription()
-            .with_naive_chunking();
+        // Small chunks + lifted hardware cap so the threaded path
+        // genuinely runs even on small CI runners.
+        let parallel = ScanEngine::new(4).with_chunk_size(chunk).allow_oversubscription();
 
         let dump = |analyses: &[leishen::Analysis]| -> Vec<String> {
             analyses.iter().map(|a| format!("{a:?}")).collect()
         };
         let want = dump(&serial.scan(&detector, &refs, &view));
-        prop_assert_eq!(&dump(&scheduled.scan(&detector, &refs, &view)), &want);
-        prop_assert_eq!(&dump(&naive.scan(&detector, &refs, &view)), &want);
+        prop_assert_eq!(&dump(&parallel.scan(&detector, &refs, &view)), &want);
 
         // Resilient path: corrupt every fifth record's journal (a seq far
         // past the contiguous range breaks the executor invariant) and
-        // require serial and scheduled scans to quarantine identically.
+        // require serial and parallel scans to quarantine identically.
         let mut corrupted = txs.clone();
         for (i, tx) in corrupted.iter_mut().enumerate() {
             if i % 5 == 0 {
@@ -609,13 +636,32 @@ proptest! {
         let refs: Vec<&TxRecord> = corrupted.iter().collect();
         let policy = ResilienceConfig::new();
         let serial_run = serial.scan_resilient(&detector, &refs, &view, &TagCache::new(), &policy);
-        let sched_run =
-            scheduled.scan_resilient(&detector, &refs, &view, &TagCache::new(), &policy);
-        prop_assert!(serial_run.quarantined_indices().eq(sched_run.quarantined_indices()));
+        let parallel_run =
+            parallel.scan_resilient(&detector, &refs, &view, &TagCache::new(), &policy);
+        prop_assert!(serial_run.quarantined_indices().eq(parallel_run.quarantined_indices()));
         prop_assert!(serial_run.quarantined_indices().eq((0..corrupted.len()).step_by(5)));
         let verdicts = |run: &leishen::ResilientScan| -> Vec<String> {
             run.verdicts.iter().map(|v| format!("{v:?}")).collect()
         };
-        prop_assert_eq!(verdicts(&serial_run), verdicts(&sched_run));
+        prop_assert_eq!(verdicts(&serial_run), verdicts(&parallel_run));
+
+        // Dead-worker path: with two or more chunks the batch runs
+        // threaded, the first quarantine kills its worker, and the
+        // calling thread reprocesses the lost chunk.
+        if refs.len() > chunk {
+            leishen::install_quiet_hook();
+            let died = std::sync::atomic::AtomicBool::new(false);
+            let run = parallel.scan_resilient_with(
+                &detector,
+                &refs,
+                &view,
+                &TagCache::new(),
+                &policy,
+                &DiesOnce(&died),
+                &NoopTracer,
+            );
+            prop_assert!(died.load(std::sync::atomic::Ordering::SeqCst));
+            prop_assert_eq!(verdicts(&serial_run), verdicts(&run));
+        }
     }
 }
