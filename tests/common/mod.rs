@@ -11,6 +11,7 @@
 #![allow(dead_code)]
 
 pub mod snapshot;
+pub mod trace_snapshot;
 
 use std::path::PathBuf;
 
