@@ -31,7 +31,7 @@ use std::fmt::Write as _;
 
 use ethsim::TxRecord;
 use leishen::trace::export::{export_chrome_trace, export_jsonl, parse_jsonl};
-use leishen::trace::{Reason, TraceEvent, Verdict};
+use leishen::trace::{PatternOutcome, Reason, TraceEvent};
 use leishen::{
     aggregator_heuristic, trace_exits, DetectorConfig, FlightRecorder, LeiShen, ScanEngine,
     TagCache,
@@ -172,8 +172,8 @@ fn main() {
         for e in &trace.events {
             match e {
                 TraceEvent::PatternVerdict { outcome, .. } => match outcome {
-                    Verdict::Matched { .. } => matched += 1,
-                    Verdict::Rejected { failed } => {
+                    PatternOutcome::Matched { .. } => matched += 1,
+                    PatternOutcome::Rejected { failed } => {
                         rejected += 1;
                         first_failed.get_or_insert(failed.as_str());
                     }

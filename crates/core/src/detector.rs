@@ -17,7 +17,7 @@ use crate::simplify::{
 };
 use crate::tagging::{tag_of, tag_transfers_with_into, Tag, TaggedTransfer};
 use crate::telemetry::{MetricsSink, NoopSink, Stage, StageClock, TxCounters};
-use crate::trace::{Decision, NoopTracer, Reason, TraceBuilder, TraceEvent, TraceSink, Verdict};
+use crate::trace::{NoopTracer, RawEvent, RawOutcome, RawReason, TraceBuilder, TraceSink};
 use crate::trades::{identify_trades_into, Trade};
 
 /// The detector's read-only view of chain context: the label cloud, the
@@ -217,7 +217,7 @@ impl LeiShen {
             every <= 1 || scratch.lap_tick.is_multiple_of(every)
         };
         let mut clock = StageClock::start(sink, timed, tx.id);
-        let mut builder = TraceBuilder::start(tracer);
+        let mut builder = TraceBuilder::start(tracer, clock.started());
         let mut counters = TxCounters::default();
         let flash_loans = if tx.status.is_success() {
             identify_flash_loans(tx)
@@ -225,15 +225,14 @@ impl LeiShen {
             Vec::new()
         };
         for loan in &flash_loans {
-            builder.event(tracer, || TraceEvent::FlashLoan {
-                provider: loan.provider.to_string(),
-                lender: loan.lender.to_string(),
-                borrower: loan.borrower.to_string(),
+            builder.event(tracer, || RawEvent::FlashLoan {
+                provider: loan.provider,
+                lender: loan.lender,
+                borrower: loan.borrower,
                 amount: loan.amount,
             });
         }
-        clock.lap(sink, Stage::FlashLoan);
-        builder.lap(tracer, Stage::FlashLoan);
+        builder.lap(tracer, Stage::FlashLoan, clock.lap(sink, Stage::FlashLoan));
         if flash_loans.is_empty() {
             if S::ENABLED {
                 counters.account_transfers = tx.trace.transfers.len() as u32;
@@ -242,14 +241,12 @@ impl LeiShen {
             builder.finish(
                 tracer,
                 tx,
-                Decision {
-                    flagged: false,
-                    reasons: vec![if tx.status.is_success() {
-                        Reason::NoFlashLoan
-                    } else {
-                        Reason::Reverted
-                    }],
-                },
+                false,
+                vec![if tx.status.is_success() {
+                    RawReason::NoFlashLoan
+                } else {
+                    RawReason::Reverted
+                }],
             );
             return Analysis {
                 flash_loans,
@@ -288,20 +285,12 @@ impl LeiShen {
         if T::ENABLED {
             // First occurrence of each distinct tag, in journal order,
             // with the transfer that triggered it.
-            let mut seen: HashSet<&Tag> = HashSet::with_capacity(tagged.len());
             for t in tagged.iter() {
-                for tag in [&t.sender, &t.receiver] {
-                    if seen.insert(tag) {
-                        builder.event(tracer, || TraceEvent::TagAssigned {
-                            tag: tag.to_string(),
-                            first_seq: t.seq,
-                        });
-                    }
-                }
+                builder.tag_assigned(tracer, &t.sender, t.seq);
+                builder.tag_assigned(tracer, &t.receiver, t.seq);
             }
         }
-        clock.lap(sink, Stage::Tagging);
-        builder.lap(tracer, Stage::Tagging);
+        builder.lap(tracer, Stage::Tagging, clock.lap(sink, Stage::Tagging));
         let mut app_transfers = Vec::with_capacity(tagged.len());
         // Draining variant: survivors move out of the scratch buffer
         // (cleared anyway on the next transaction) instead of cloning.
@@ -315,20 +304,19 @@ impl LeiShen {
                     match action {
                         SimplifyAction::Kept { .. } => {}
                         SimplifyAction::Dropped { seq, rule } => builder
-                            .event(tracer, || TraceEvent::SimplifyDropped { seq, rule }),
+                            .event(tracer, || RawEvent::SimplifyDropped { seq, rule }),
                         SimplifyAction::Merged { seq, into_seq } => builder
-                            .event(tracer, || TraceEvent::SimplifyMerged { seq, into_seq }),
+                            .event(tracer, || RawEvent::SimplifyMerged { seq, into_seq }),
                     }
                 }
             },
         );
-        builder.event(tracer, || TraceEvent::SimplifySummary {
+        builder.event(tracer, || RawEvent::SimplifySummary {
             kept: simplify_stats.kept,
             dropped: simplify_stats.dropped,
             merged: simplify_stats.merged,
         });
-        clock.lap(sink, Stage::Simplify);
-        builder.lap(tracer, Stage::Simplify);
+        builder.lap(tracer, Stage::Simplify, clock.lap(sink, Stage::Simplify));
 
         // Stage 3: trades + patterns, per distinct borrower tag. The tx
         // initiator is always considered a borrower identity as well — the
@@ -337,15 +325,14 @@ impl LeiShen {
         let mut trades = Vec::with_capacity(app_transfers.len() / 2 + 1);
         identify_trades_into(&app_transfers, &mut trades);
         for trade in &trades {
-            builder.event(tracer, || TraceEvent::TradeIdentified {
+            builder.event(tracer, || RawEvent::TradeIdentified {
                 seq: trade.seq,
-                kind: trade.kind.to_string(),
-                buyer: trade.buyer.to_string(),
-                seller: trade.seller.to_string(),
+                kind: trade.kind,
+                buyer: trade.buyer.clone(),
+                seller: trade.seller.clone(),
             });
         }
-        clock.lap(sink, Stage::Trades);
-        builder.lap(tracer, Stage::Trades);
+        builder.lap(tracer, Stage::Trades, clock.lap(sink, Stage::Trades));
         // Dedup by linear scan: a transaction has a handful of borrower
         // identities at most, and hashing a tag walks its app-name
         // string, so a set would cost more than it saves.
@@ -368,16 +355,14 @@ impl LeiShen {
             let found =
                 match_all_legs_observed(&legs, tag, &self.config, patterns, |verdict| {
                     if T::ENABLED {
-                        builder.event(tracer, || TraceEvent::PatternVerdict {
+                        builder.event(tracer, || RawEvent::PatternVerdict {
                             kind: verdict.kind,
-                            borrower: tag.to_string(),
-                            quote: verdict.quote.to_string(),
-                            target: verdict.target.to_string(),
+                            borrower: tag.clone(),
+                            quote: verdict.quote,
+                            target: verdict.target,
                             outcome: match verdict.failed {
-                                Some(failed) => Verdict::Rejected {
-                                    failed: failed.to_string(),
-                                },
-                                None => Verdict::Matched {
+                                Some(failed) => RawOutcome::Rejected(failed),
+                                None => RawOutcome::Matched {
                                     trade_seqs: verdict
                                         .matched
                                         .iter()
@@ -405,8 +390,7 @@ impl LeiShen {
                     (patterns.pairs_examined() * active_matchers) as u32;
             }
         }
-        clock.lap(sink, Stage::Patterns);
-        builder.lap(tracer, Stage::Patterns);
+        builder.lap(tracer, Stage::Patterns, clock.lap(sink, Stage::Patterns));
 
         if S::ENABLED {
             // Every counter is derived from state the pipeline already
@@ -430,30 +414,21 @@ impl LeiShen {
             // explicit clear.
             let mut reasons = Vec::with_capacity(flash_loans.len() + matches.len().max(1));
             for loan in &flash_loans {
-                reasons.push(Reason::FlashLoan {
-                    provider: loan.provider.to_string(),
-                });
+                reasons.push(RawReason::FlashLoan(loan.provider));
             }
             if matches.is_empty() {
-                reasons.push(Reason::NoPatternMatched);
+                reasons.push(RawReason::NoPatternMatched);
             } else {
                 for m in &matches {
-                    reasons.push(Reason::PatternMatched {
+                    reasons.push(RawReason::PatternMatched {
                         kind: m.kind,
-                        target: m.target_token.to_string(),
-                        quote: m.quote_token.to_string(),
+                        target: m.target_token,
+                        quote: m.quote_token,
                         trade_seqs: m.trade_seqs.clone(),
                     });
                 }
             }
-            builder.finish(
-                tracer,
-                tx,
-                Decision {
-                    flagged: !matches.is_empty(),
-                    reasons,
-                },
-            );
+            builder.finish(tracer, tx, !matches.is_empty(), reasons);
         }
 
         Analysis {

@@ -112,7 +112,7 @@ pub use telemetry::{
     STAGES, STAGE_COUNT,
 };
 pub use trace::{
-    Decision, FlightRecorder, NoopTracer, Reason, SpanRecord, TraceEvent, TraceSink, TxProvenance,
-    Verdict, WorkerTracer,
+    Decision, FlightRecorder, NoopTracer, PatternOutcome, Reason, RecordedTrace, SpanRecord,
+    TraceEvent, TraceSink, TxProvenance, WorkerTracer,
 };
 pub use trades::{identify_trades, identify_trades_into, Trade, TradeKind, TradeSide};

@@ -550,7 +550,9 @@ impl StageSummary {
 /// [`StageClock::finish`] hands the laps plus the counters to the sink in
 /// one call — so the sink synchronizes once per transaction. With a
 /// disabled sink all three are free: the struct holds no timestamp and
-/// every method body is dead code behind `S::ENABLED`.
+/// every method body is dead code behind `S::ENABLED`. Every instant the
+/// clock reads is handed back to the caller, so a traced transaction's
+/// span boundaries reuse it instead of reading the clock again.
 pub(crate) struct StageClock {
     tx: TxId,
     start: Option<Instant>,
@@ -569,23 +571,32 @@ impl StageClock {
         }
     }
 
+    /// The instant timing started, when this transaction is timed — the
+    /// pipeline hands it to the trace builder so the two share one clock
+    /// read.
+    pub fn started(&self) -> Option<Instant> {
+        self.start
+    }
+
     /// Marks the time since the previous lap (or start) as `stage`, and
     /// restarts the clock for the next stage. Always announces the
     /// boundary to the sink (even for transactions not picked for
     /// stage timing) so mid-pipeline hooks see every transaction.
-    pub fn lap<S: MetricsSink>(&mut self, sink: &S, stage: Stage) {
+    /// Returns the instant read, if any, for the trace builder to share.
+    pub fn lap<S: MetricsSink>(&mut self, sink: &S, stage: Stage) -> Option<Instant> {
         if S::ENABLED {
             sink.stage_boundary(self.tx, stage);
-            if self.start.is_some() {
+            if let Some(prev) = self.start {
                 // One clock read serves as both this lap's end and the
                 // next lap's start — the boundaries stay contiguous and
                 // the cost per stage is a single `Instant::now`.
                 let now = Instant::now();
-                if let Some(prev) = self.start.replace(now) {
-                    self.laps.record(stage, (now - prev).as_nanos() as u64);
-                }
+                self.laps.record(stage, (now - prev).as_nanos() as u64);
+                self.start = Some(now);
+                return Some(now);
             }
         }
+        None
     }
 
     /// Delivers the recorded laps and `counters` to the sink.
