@@ -31,15 +31,15 @@ fn bench_scan(c: &mut Criterion) {
 
     group.bench_function("engine_cold_cache", |b| {
         let engine = ScanEngine::new(4);
-        b.iter(|| std::hint::black_box(engine.scan(&detector, &records, &view)))
+        b.iter(|| std::hint::black_box(engine.scan(&detector, &records, &view, &TagCache::new())))
     });
 
     group.bench_function("engine_warm_cache", |b| {
         let engine = ScanEngine::new(4);
         let cache = TagCache::new();
-        std::hint::black_box(engine.scan_with_cache(&detector, &records, &view, &cache));
+        std::hint::black_box(engine.scan(&detector, &records, &view, &cache));
         b.iter(|| {
-            std::hint::black_box(engine.scan_with_cache(&detector, &records, &view, &cache))
+            std::hint::black_box(engine.scan(&detector, &records, &view, &cache))
         })
     });
 

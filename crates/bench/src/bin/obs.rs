@@ -25,7 +25,10 @@
 //!    `NoopSink` path vs the `RecordingSink` path; the recording sink is
 //!    expected to stay within a few percent.
 
-use leishen::{DetectorConfig, FlightRecorder, LeiShen, RecordingSink, ScanEngine, TagCache, STAGES};
+use leishen::{
+    DetectorConfig, FlightRecorder, LeiShen, NoopSink, NoopTracer, RecordingSink, ScanEngine,
+    TagCache, STAGES,
+};
 use leishen_bench::{
     cli_flag, cli_f64, cli_u64, corpus_records, print_table, wild_world,
 };
@@ -61,8 +64,9 @@ fn main() {
     let stage_cache = TagCache::new();
     let engine1 = ScanEngine::new(1);
     // Warm pass populates the cache; the recorded pass is the steady state.
-    std::hint::black_box(engine1.scan_with_cache(&detector, &records, &view, &stage_cache));
-    let analyses = engine1.scan_metered(&detector, &records, &view, &stage_cache, &sink);
+    std::hint::black_box(engine1.scan(&detector, &records, &view, &stage_cache));
+    let analyses =
+        engine1.scan_instrumented(&detector, &records, &view, &stage_cache, &sink, &NoopTracer);
     let attacks = analyses.iter().filter(|a| a.is_attack()).count();
     let totals = sink.counter_totals();
     let summaries = sink.summary();
@@ -102,10 +106,10 @@ fn main() {
         let cache = TagCache::new();
         let engine = ScanEngine::new(w).allow_oversubscription();
         // Cold pass fills the cache...
-        std::hint::black_box(engine.scan_with_cache(&detector, &records, &view, &cache));
+        std::hint::black_box(engine.scan(&detector, &records, &view, &cache));
         let cold_rate = cache.hit_rate();
         // ...warm pass shows the steady state every later batch sees.
-        std::hint::black_box(engine.scan_with_cache(&detector, &records, &view, &cache));
+        std::hint::black_box(engine.scan(&detector, &records, &view, &cache));
         let warm_rate = cache.hit_rate();
         let shards = cache.shard_stats();
         let max_inserts = shards.iter().map(|s| s.inserts).max().unwrap_or(0);
@@ -145,24 +149,38 @@ fn main() {
     const SAMPLE_EVERY: u32 = 8;
     let noop_cache = TagCache::new();
     let rec_cache = TagCache::new();
-    std::hint::black_box(engine1.scan_with_cache(&detector, &records, &view, &noop_cache));
-    std::hint::black_box(engine1.scan_with_cache(&detector, &records, &view, &rec_cache));
+    std::hint::black_box(engine1.scan(&detector, &records, &view, &noop_cache));
+    std::hint::black_box(engine1.scan(&detector, &records, &view, &rec_cache));
     let mut noop_best = f64::INFINITY;
     let mut exact_best = f64::INFINITY;
     let mut sampled_best = f64::INFINITY;
     for _ in 0..reps {
         let start = Instant::now();
-        std::hint::black_box(engine1.scan_with_cache(&detector, &records, &view, &noop_cache));
+        std::hint::black_box(engine1.scan(&detector, &records, &view, &noop_cache));
         noop_best = noop_best.min(start.elapsed().as_secs_f64());
 
         let exact_sink = RecordingSink::new();
         let start = Instant::now();
-        std::hint::black_box(engine1.scan_metered(&detector, &records, &view, &rec_cache, &exact_sink));
+        std::hint::black_box(engine1.scan_instrumented(
+            &detector,
+            &records,
+            &view,
+            &rec_cache,
+            &exact_sink,
+            &NoopTracer,
+        ));
         exact_best = exact_best.min(start.elapsed().as_secs_f64());
 
         let sampled_sink = RecordingSink::sampled(SAMPLE_EVERY);
         let start = Instant::now();
-        std::hint::black_box(engine1.scan_metered(&detector, &records, &view, &rec_cache, &sampled_sink));
+        std::hint::black_box(engine1.scan_instrumented(
+            &detector,
+            &records,
+            &view,
+            &rec_cache,
+            &sampled_sink,
+            &NoopTracer,
+        ));
         sampled_best = sampled_best.min(start.elapsed().as_secs_f64());
     }
     let noop_tps = n as f64 / noop_best.max(1e-12);
@@ -184,12 +202,19 @@ fn main() {
     let mut traced_recorded = 0u64;
     for _ in 0..reps {
         let start = Instant::now();
-        std::hint::black_box(engine1.scan_with_cache(&detector, &records, &view, &rec_cache));
+        std::hint::black_box(engine1.scan(&detector, &records, &view, &rec_cache));
         untraced_best = untraced_best.min(start.elapsed().as_secs_f64());
 
         let recorder = FlightRecorder::with_capacity(256);
         let start = Instant::now();
-        std::hint::black_box(engine1.scan_traced(&detector, &records, &view, &rec_cache, &recorder));
+        std::hint::black_box(engine1.scan_instrumented(
+            &detector,
+            &records,
+            &view,
+            &rec_cache,
+            &NoopSink,
+            &recorder,
+        ));
         traced_best = traced_best.min(start.elapsed().as_secs_f64());
         traced_recorded = recorder.recorded();
     }

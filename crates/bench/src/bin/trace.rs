@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Replays the Table I corpus through a 4-worker traced scan
-//! ([`leishen::ScanEngine::scan_traced`] feeding a
+//! ([`leishen::ScanEngine::scan_instrumented`] feeding a
 //! [`leishen::FlightRecorder`]), verifies the traced analyses are
 //! *identical* to a serial untraced reference, cross-links the §VI-D
 //! forensics (aggregator heuristic + [`leishen::trace_exits`] exit paths)
@@ -33,8 +33,8 @@ use ethsim::TxRecord;
 use leishen::trace::export::{export_chrome_trace, export_jsonl, parse_jsonl};
 use leishen::trace::{PatternOutcome, Reason, TraceEvent};
 use leishen::{
-    aggregator_heuristic, trace_exits, DetectorConfig, FlightRecorder, LeiShen, ScanEngine,
-    TagCache,
+    aggregator_heuristic, trace_exits, DetectorConfig, FlightRecorder, LeiShen, NoopSink,
+    ScanEngine, TagCache,
 };
 use leishen_bench::{cli_flag, corpus_records, known_attack_world, print_table};
 use leishen_scenarios::generator::AGGREGATOR_APPS;
@@ -87,7 +87,7 @@ fn main() {
     let recorder = FlightRecorder::with_capacity(64);
     let cache = TagCache::new();
     let engine = ScanEngine::new(4).allow_oversubscription();
-    let traced = engine.scan_traced(&detector, &records, &view, &cache, &recorder);
+    let traced = engine.scan_instrumented(&detector, &records, &view, &cache, &NoopSink, &recorder);
     let reference: Vec<_> = records.iter().map(|r| detector.analyze(r, &view)).collect();
     assert_eq!(traced, reference, "traced scan must not perturb analyses");
     assert_eq!(recorder.recorded(), records.len() as u64);

@@ -21,7 +21,9 @@
 use std::time::Instant;
 
 use ethsim::TxRecord;
-use leishen::{DetectorConfig, LeiShen, ScanEngine, TagCache};
+use leishen::{
+    AnalysisScratch, DetectorConfig, LeiShen, NoopSink, NoopTracer, ScanEngine, TagCache,
+};
 use leishen_scenarios::generator::{generate, GeneratorConfig};
 use leishen_scenarios::{run_all_attacks, ExecutedAttack, GeneratedTx, World};
 
@@ -164,7 +166,14 @@ pub fn measure_latencies_cached(
     for tx in txs {
         let record = world.chain.replay(tx).expect("recorded");
         let start = Instant::now();
-        let analysis = detector.analyze_cached(record, &view, &cache);
+        let analysis = detector.analyze_traced(
+            record,
+            &view,
+            &mut |addr| cache.resolve(addr, view.labels(), view.creations()),
+            &mut AnalysisScratch::default(),
+            &NoopSink,
+            &NoopTracer,
+        );
         let elapsed = start.elapsed().as_secs_f64() * 1e6;
         std::hint::black_box(&analysis);
         out.push(elapsed);
@@ -225,7 +234,7 @@ pub fn measure_serial_throughput(
 /// the timed region. The caller provides the shared [`TagCache`] so it
 /// persists across batches, which is the engine's steady state: a scanner
 /// that processes corpus after corpus over the same chain keeps one cache
-/// alive (that is what [`ScanEngine::scan_with_cache`] is for), so only
+/// alive (that is why [`ScanEngine::scan`] takes the cache), so only
 /// the very first batch pays the cold tag-resolution misses. Pass a fresh
 /// cache to time a cold scan instead.
 pub fn measure_throughput(
@@ -256,7 +265,7 @@ pub fn measure_engine_throughput(
     let detector = LeiShen::new(config);
     let records = corpus_records(world, txs);
     let start = Instant::now();
-    let analyses = engine.scan_with_cache(&detector, &records, &view, cache);
+    let analyses = engine.scan(&detector, &records, &view, cache);
     let secs = start.elapsed().as_secs_f64();
     std::hint::black_box(&analyses);
     ThroughputRun::from_elapsed(workers, records.len(), secs)

@@ -11,7 +11,6 @@ use crate::flashloan::{identify_flash_loans, FlashLoanEvent};
 use crate::labels::Labels;
 use crate::patterns::{all_legs, match_all_legs_observed, PatternMatch, PatternScratch};
 use crate::report::AttackReport;
-use crate::scan::TagCache;
 use crate::simplify::{
     coalesce_transfers, has_split_transfers, simplify_drain_observed, SimplifyAction,
 };
@@ -124,84 +123,39 @@ impl LeiShen {
     /// signature short-circuit with an empty analysis (LeiShen only takes
     /// flash-loan transactions as input).
     pub fn analyze(&self, tx: &TxRecord, view: &ChainView<'_>) -> Analysis {
-        self.analyze_with(tx, view, &mut |addr| {
-            tag_of(addr, view.labels, &view.creations)
-        })
+        self.analyze_traced(
+            tx,
+            view,
+            &mut |addr| tag_of(addr, view.labels, &view.creations),
+            &mut AnalysisScratch::default(),
+            &NoopSink,
+            &NoopTracer,
+        )
     }
 
-    /// Like [`LeiShen::analyze`], resolving tags through a shared
-    /// [`TagCache`] so repeated addresses across a batch scan are tagged
-    /// once. Produces exactly the same [`Analysis`] as `analyze`.
-    pub fn analyze_cached(
-        &self,
-        tx: &TxRecord,
-        view: &ChainView<'_>,
-        cache: &TagCache,
-    ) -> Analysis {
-        self.analyze_with(tx, view, &mut |addr| {
-            cache.resolve(addr, view.labels, &view.creations)
-        })
-    }
-
-    /// Like [`LeiShen::analyze`], resolving tags through an arbitrary
-    /// caller-supplied resolver, which must map the zero address to
-    /// [`Tag::BlackHole`] and otherwise agree with
-    /// [`tag_of`] for the view's labels and creations. This is how
-    /// [`crate::scan::ScanEngine`] workers plug in their thread-local
-    /// cache fronts.
+    /// Like [`LeiShen::analyze`], with every moving part supplied by the
+    /// caller. Produces exactly the same [`Analysis`] as `analyze` for
+    /// any resolver, scratch, sink and tracer combination.
     ///
-    /// The resolver is a compile-time parameter (not `&mut dyn FnMut`):
-    /// the pipeline calls it roughly twice per journal entry, so on the
-    /// cached batch-scan path the local-map probe must inline into the
-    /// tagging loop instead of going through an indirect call.
-    pub fn analyze_with<R: FnMut(Address) -> Tag>(
-        &self,
-        tx: &TxRecord,
-        view: &ChainView<'_>,
-        resolve: &mut R,
-    ) -> Analysis {
-        self.analyze_scratch(tx, view, resolve, &mut AnalysisScratch::default())
-    }
-
-    /// Like [`LeiShen::analyze_with`], with caller-provided scratch
-    /// buffers. Every intermediate the pipeline does not return moves
-    /// into `scratch` and is reused on the next call, so a worker
-    /// analyzing a batch pays for those buffers once instead of once per
-    /// transaction. Produces exactly the same [`Analysis`] as `analyze`.
-    pub fn analyze_scratch<R: FnMut(Address) -> Tag>(
-        &self,
-        tx: &TxRecord,
-        view: &ChainView<'_>,
-        resolve: &mut R,
-        scratch: &mut AnalysisScratch,
-    ) -> Analysis {
-        self.analyze_metered(tx, view, resolve, scratch, &NoopSink)
-    }
-
-    /// Like [`LeiShen::analyze_scratch`], reporting per-stage latency and
-    /// per-transaction counters to `sink`. The sink is a compile-time
-    /// parameter: monomorphized over [`NoopSink`] (what `analyze_scratch`
-    /// does) every timer read and counter store is dead code, so the
-    /// uninstrumented hot path pays nothing. Produces exactly the same
-    /// [`Analysis`] as `analyze` for any sink.
-    pub fn analyze_metered<S: MetricsSink, R: FnMut(Address) -> Tag>(
-        &self,
-        tx: &TxRecord,
-        view: &ChainView<'_>,
-        resolve: &mut R,
-        scratch: &mut AnalysisScratch,
-        sink: &S,
-    ) -> Analysis {
-        self.analyze_traced(tx, view, resolve, scratch, sink, &NoopTracer)
-    }
-
-    /// Like [`LeiShen::analyze_metered`], additionally recording the full
-    /// decision provenance — stage spans, structured events for every
-    /// reduction and matcher verdict, and the final reason chain — into
-    /// `tracer`. Like the metrics sink, the tracer is a compile-time
-    /// parameter: monomorphized over [`NoopTracer`] every event closure
-    /// and span clock is dead code. Produces exactly the same
-    /// [`Analysis`] as `analyze` for any sink/tracer combination.
+    /// * `resolve` maps addresses to tags. It must map the zero address
+    ///   to [`Tag::BlackHole`] and otherwise agree with [`tag_of`] for
+    ///   the view's labels and creations; this is how
+    ///   [`crate::scan::ScanEngine`] workers plug in their cache fronts
+    ///   (and how a caller shares one [`crate::scan::TagCache`] through
+    ///   `|addr| cache.resolve(..)`). It is a compile-time parameter,
+    ///   not `&mut dyn FnMut`: the pipeline calls it roughly twice per
+    ///   journal entry, so on the cached batch-scan path the local-map
+    ///   probe must inline into the tagging loop.
+    /// * `scratch` holds every intermediate the pipeline does not
+    ///   return, reused on the next call, so a worker analyzing a batch
+    ///   pays for those buffers once instead of once per transaction.
+    /// * `sink` receives per-stage latency and per-transaction counters;
+    ///   `tracer` receives the full decision provenance — stage spans,
+    ///   structured events for every reduction and matcher verdict, and
+    ///   the final reason chain. Both are compile-time parameters:
+    ///   monomorphized over [`NoopSink`]/[`NoopTracer`] every timer read,
+    ///   counter store and event closure is dead code, so the
+    ///   uninstrumented hot path pays nothing.
     pub fn analyze_traced<S: MetricsSink, T: TraceSink, R: FnMut(Address) -> Tag>(
         &self,
         tx: &TxRecord,
@@ -449,36 +403,18 @@ impl LeiShen {
         view: &ChainView<'_>,
         prices: Option<&UsdPriceTable>,
     ) -> Option<AttackReport> {
-        self.detect_impl(tx, view, prices, &mut |addr| {
-            tag_of(addr, view.labels, &view.creations)
-        })
-    }
-
-    /// Like [`LeiShen::detect`], resolving tags through a shared
-    /// [`TagCache`].
-    pub fn detect_cached(
-        &self,
-        tx: &TxRecord,
-        view: &ChainView<'_>,
-        prices: Option<&UsdPriceTable>,
-        cache: &TagCache,
-    ) -> Option<AttackReport> {
-        self.detect_impl(tx, view, prices, &mut |addr| {
-            cache.resolve(addr, view.labels, &view.creations)
-        })
-    }
-
-    fn detect_impl(
-        &self,
-        tx: &TxRecord,
-        view: &ChainView<'_>,
-        prices: Option<&UsdPriceTable>,
-        resolve: &mut dyn FnMut(Address) -> Tag,
-    ) -> Option<AttackReport> {
-        // Cold path: one transaction per call, so the dyn resolver stays
-        // (monomorphizing `detect` would only bloat the binary).
-        let mut resolve = resolve;
-        let analysis = self.analyze_with(tx, view, &mut resolve);
+        // Cold path: one transaction per call, so the resolver stays
+        // `dyn` (monomorphizing it would only bloat the binary).
+        let mut resolve: &mut dyn FnMut(Address) -> Tag =
+            &mut |addr| tag_of(addr, view.labels, &view.creations);
+        let analysis = self.analyze_traced(
+            tx,
+            view,
+            &mut resolve,
+            &mut AnalysisScratch::default(),
+            &NoopSink,
+            &NoopTracer,
+        );
         if !analysis.is_attack() {
             return None;
         }
@@ -501,7 +437,7 @@ impl LeiShen {
     }
 }
 
-/// Reusable per-worker buffers for [`LeiShen::analyze_scratch`]: the
+/// Reusable per-worker buffers for [`LeiShen::analyze_traced`]: the
 /// transient tagged-transfer list, the pattern stage's pair and series
 /// buffers, and the two dedup sets. One scratch per scan worker
 /// amortizes several heap allocations per transaction on the batch-scan
@@ -709,12 +645,13 @@ mod tests {
 
         let plain = detector.analyze(&record, &view);
         let sink = RecordingSink::new();
-        let metered = detector.analyze_metered(
+        let metered = detector.analyze_traced(
             &record,
             &view,
             &mut |addr| tag_of(addr, view.labels, &view.creations),
             &mut AnalysisScratch::default(),
             &sink,
+            &NoopTracer,
         );
         assert_eq!(plain, metered, "instrumentation must not change results");
 
@@ -747,12 +684,13 @@ mod tests {
             })
             .unwrap();
         let plain_record = chain.replay(plain_tx).unwrap().clone();
-        detector.analyze_metered(
+        detector.analyze_traced(
             &plain_record,
             &view,
             &mut |addr| tag_of(addr, view.labels, &view.creations),
             &mut AnalysisScratch::default(),
             &sink,
+            &NoopTracer,
         );
         assert_eq!(sink.counter_totals().transactions, 2);
         assert_eq!(sink.stage_summary(Stage::FlashLoan).count, 2);

@@ -13,8 +13,8 @@ use crate::config::DetectorConfig;
 use crate::detector::{Analysis, LeiShen};
 use crate::patterns::PatternKind;
 use crate::scan::{ScanEngine, TagCache};
-use crate::telemetry::RecordingSink;
-use crate::trace::FlightRecorder;
+use crate::telemetry::{NoopSink, RecordingSink};
+use crate::trace::{FlightRecorder, NoopTracer};
 
 use super::{CaseVerdict, FuzzCase, Mutant, TxExpect};
 
@@ -129,17 +129,29 @@ impl DiffOracle {
         let serial: Vec<Analysis> =
             records.iter().map(|r| self.detector.analyze(r, &view)).collect();
 
-        let parallel = self.engine.scan_with_cache(&self.detector, &records, &view, &TagCache::new());
+        let parallel = self.engine.scan(&self.detector, &records, &view, &TagCache::new());
         diff("parallel", &serial, &parallel)?;
 
         let sink = RecordingSink::new();
-        let metered =
-            self.engine.scan_metered(&self.detector, &records, &view, &TagCache::new(), &sink);
+        let metered = self.engine.scan_instrumented(
+            &self.detector,
+            &records,
+            &view,
+            &TagCache::new(),
+            &sink,
+            &NoopTracer,
+        );
         diff("metered", &serial, &metered)?;
 
         let recorder = FlightRecorder::with_capacity(64);
-        let traced =
-            self.engine.scan_traced(&self.detector, &records, &view, &TagCache::new(), &recorder);
+        let traced = self.engine.scan_instrumented(
+            &self.detector,
+            &records,
+            &view,
+            &TagCache::new(),
+            &NoopSink,
+            &recorder,
+        );
         diff("traced", &serial, &traced)?;
 
         Ok(serial)

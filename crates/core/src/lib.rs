@@ -95,9 +95,8 @@ pub use simplify::{
 };
 pub use store::{
     ArmedIoFault, Checkpoint, DirMedia, DurableBlock, FaultMedia, FsyncPolicy, JournalConfig,
-    JournalRecovery, LogBackend, LogConfig, LogMetrics, Media, MemMedia, MemoryBackend,
-    RecoveryReport, SegmentLog, StorageBackend, StoreError, StoreMetrics, VerdictJournal,
-    VerdictRecord, WriteTotals,
+    JournalRecovery, LogConfig, LogMetrics, Media, MemMedia, RecoveryReport, SegmentLog,
+    StoreError, VerdictJournal, VerdictRecord, WriteTotals,
 };
 pub use stream::{
     Block, BlockReport, BoundedQueue, DurableReport, QueueStats, StreamConfig, StreamProducer,

@@ -325,8 +325,7 @@ impl InputFault {
         InputFault::DanglingLog,
     ];
 
-    /// Stable snake_case name (used in `BENCH_chaos.json` and
-    /// `LEISHEN_CHAOS_FAULTS`).
+    /// Stable snake_case name (used in `BENCH_chaos.json`).
     pub fn name(self) -> &'static str {
         match self {
             InputFault::TruncatedJournal => "truncated_journal",
@@ -499,42 +498,6 @@ impl FaultPlan {
         plan.panic_stages.clear();
         plan.delay_stages.clear();
         plan
-    }
-
-    /// Builds a plan from the environment, for wiring chaos into any
-    /// existing binary without new flags:
-    ///
-    /// * `LEISHEN_CHAOS=1` enables (unset/`0` returns `None`);
-    /// * `LEISHEN_CHAOS_SEED` — campaign seed (default 42);
-    /// * `LEISHEN_CHAOS_RATE_PERMILLE` — fault rate (default 100, i.e.
-    ///   10%);
-    /// * `LEISHEN_CHAOS_FAULTS` — comma-separated [`InputFault::name`]s
-    ///   restricting the input-fault menu (default: all; unknown names
-    ///   are ignored).
-    pub fn from_env() -> Option<FaultPlan> {
-        let enabled = std::env::var("LEISHEN_CHAOS").is_ok_and(|v| v != "0" && !v.is_empty());
-        if !enabled {
-            return None;
-        }
-        let seed = std::env::var("LEISHEN_CHAOS_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(42);
-        let rate = std::env::var("LEISHEN_CHAOS_RATE_PERMILLE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(100);
-        let mut plan = FaultPlan::new(seed, rate);
-        if let Ok(list) = std::env::var("LEISHEN_CHAOS_FAULTS") {
-            let picked: Vec<InputFault> = list
-                .split(',')
-                .filter_map(|name| InputFault::from_name(name.trim()))
-                .collect();
-            if !picked.is_empty() {
-                plan.input_faults = picked;
-            }
-        }
-        Some(plan)
     }
 
     /// The flattened fault menu this plan draws from, in stable order.
@@ -792,26 +755,6 @@ mod tests {
             assert_eq!(InputFault::from_name(fault.name()), Some(fault));
         }
         assert_eq!(InputFault::from_name("nope"), None);
-    }
-
-    #[test]
-    fn from_env_reads_the_chaos_variables() {
-        // Untouched environment: disabled.
-        std::env::remove_var("LEISHEN_CHAOS");
-        assert_eq!(FaultPlan::from_env(), None);
-
-        std::env::set_var("LEISHEN_CHAOS", "1");
-        std::env::set_var("LEISHEN_CHAOS_SEED", "99");
-        std::env::set_var("LEISHEN_CHAOS_RATE_PERMILLE", "333");
-        std::env::set_var("LEISHEN_CHAOS_FAULTS", "seq nonsense,overflow_amount");
-        let plan = FaultPlan::from_env().expect("enabled");
-        assert_eq!(plan.seed, 99);
-        assert_eq!(plan.rate_permille, 333);
-        assert_eq!(plan.input_faults, vec![InputFault::OverflowAmount]);
-        std::env::remove_var("LEISHEN_CHAOS");
-        std::env::remove_var("LEISHEN_CHAOS_SEED");
-        std::env::remove_var("LEISHEN_CHAOS_RATE_PERMILLE");
-        std::env::remove_var("LEISHEN_CHAOS_FAULTS");
     }
 
     #[test]

@@ -21,13 +21,13 @@
 //!   loop over the same slice.
 //!
 //! ```
-//! use leishen::{ChainView, DetectorConfig, Labels, LeiShen, ScanEngine};
+//! use leishen::{ChainView, DetectorConfig, Labels, LeiShen, ScanEngine, TagCache};
 //!
 //! let labels = Labels::new();
 //! let view = ChainView::new(&labels, &[], None);
 //! let detector = LeiShen::new(DetectorConfig::paper());
 //! let engine = ScanEngine::new(4);
-//! let analyses = engine.scan(&detector, &[], &view); // empty batch
+//! let analyses = engine.scan(&detector, &[], &view, &TagCache::new()); // empty batch
 //! assert!(analyses.is_empty());
 //! ```
 
@@ -48,8 +48,8 @@ use crate::resilience::{
     Verdict,
 };
 use crate::tagging::{tag_of, Tag};
-use crate::telemetry::{MetricsSink, NoopSink, RecordingSink};
-use crate::trace::{record_indeterminate, FlightRecorder, NoopTracer, TraceSink};
+use crate::telemetry::{MetricsSink, NoopSink};
+use crate::trace::{record_indeterminate, NoopTracer, TraceSink};
 
 /// Number of independent lock shards. A power of two so the shard index
 /// is a mask; 16 keeps contention negligible for any realistic worker
@@ -231,10 +231,11 @@ impl TagCache {
         Arc::clone(&snap.map)
     }
 
-    /// How many times [`TagCache::snapshot`] had to rebuild the frozen
-    /// view (0 ⇒ never taken or always current). One rebuild per batch
-    /// of new addresses is the expected steady state; a rebuild per
-    /// *scan* means the working set is still growing.
+    /// How many times the frozen snapshot that seeds each
+    /// [`LocalTagCache`] had to be rebuilt (0 ⇒ never taken or always
+    /// current). One rebuild per batch of new addresses is the expected
+    /// steady state; a rebuild per *scan* means the working set is
+    /// still growing.
     pub fn snapshot_rebuilds(&self) -> u64 {
         self.snapshot_rebuilds.load(Ordering::Relaxed)
     }
@@ -342,8 +343,7 @@ pub struct LocalTagCache<'a> {
 }
 
 impl<'a> LocalTagCache<'a> {
-    /// A front over `shared`, seeded with its current
-    /// [snapshot](TagCache::snapshot).
+    /// A front over `shared`, seeded with its current frozen snapshot.
     pub fn new(shared: &'a TagCache) -> Self {
         LocalTagCache {
             shared,
@@ -392,9 +392,7 @@ pub struct ScanStats {
     pub cache_hits: u64,
     /// Tag lookups that computed a fresh tag.
     pub cache_misses: u64,
-    /// Transactions quarantined instead of analyzed (always 0 outside
-    /// [`ScanEngine::scan_resilient`] — the legacy scans have no
-    /// quarantine path).
+    /// Transactions quarantined instead of analyzed.
     pub quarantined: usize,
 }
 
@@ -461,81 +459,30 @@ impl ScanEngine {
         self.workers
     }
 
-    /// Scans `txs` with a fresh internal cache, returning one [`Analysis`]
-    /// per transaction, in input order.
-    pub fn scan(&self, detector: &LeiShen, txs: &[&TxRecord], view: &ChainView<'_>) -> Vec<Analysis> {
-        self.scan_with_cache(detector, txs, view, &TagCache::new())
-    }
-
-    /// Like [`ScanEngine::scan`], with stats about the run.
-    pub fn scan_with_stats(
-        &self,
-        detector: &LeiShen,
-        txs: &[&TxRecord],
-        view: &ChainView<'_>,
-    ) -> (Vec<Analysis>, ScanStats) {
-        let cache = TagCache::new();
-        let analyses = self.scan_with_cache(detector, txs, view, &cache);
-        let stats = ScanStats {
-            transactions: analyses.len(),
-            attacks: analyses.iter().filter(|a| a.is_attack()).count(),
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-            quarantined: 0,
-        };
-        (analyses, stats)
-    }
-
-    /// Scans `txs` against a caller-owned cache (reusable across batches
-    /// that share the same [`ChainView`]), returning analyses in input
-    /// order.
-    pub fn scan_with_cache(
+    /// Scans `txs` against a caller-owned cache, returning one
+    /// [`Analysis`] per transaction, in input order. The cache may be
+    /// reused across batches that share the same [`ChainView`].
+    pub fn scan(
         &self,
         detector: &LeiShen,
         txs: &[&TxRecord],
         view: &ChainView<'_>,
         cache: &TagCache,
     ) -> Vec<Analysis> {
-        self.scan_impl(detector, txs, view, cache, &NoopSink, &NoopTracer)
+        self.scan_instrumented(detector, txs, view, cache, &NoopSink, &NoopTracer)
     }
 
-    /// Like [`ScanEngine::scan_with_cache`], with every worker recording
-    /// decision provenance into one shared [`FlightRecorder`] through its
-    /// own lock-free [`TraceSink::worker_front`]. Produces exactly the
-    /// same analyses, in the same input order, as the untraced scan — the
-    /// trace identity test asserts this — while the recorder retains the
-    /// last-N cleared traces and pins every flagged one.
-    pub fn scan_traced(
-        &self,
-        detector: &LeiShen,
-        txs: &[&TxRecord],
-        view: &ChainView<'_>,
-        cache: &TagCache,
-        recorder: &FlightRecorder,
-    ) -> Vec<Analysis> {
-        self.scan_impl(detector, txs, view, cache, &NoopSink, recorder)
-    }
-
-    /// Like [`ScanEngine::scan_with_cache`], with every worker reporting
-    /// per-stage latency and per-transaction counters into one shared
-    /// [`RecordingSink`]. Produces exactly the same analyses, in the same
-    /// input order, as the unmetered scan — the telemetry identity test
-    /// asserts this — while the sink accumulates the stage histograms and
-    /// counter totals the `obs` bench bin serializes.
-    pub fn scan_metered(
-        &self,
-        detector: &LeiShen,
-        txs: &[&TxRecord],
-        view: &ChainView<'_>,
-        cache: &TagCache,
-        sink: &RecordingSink,
-    ) -> Vec<Analysis> {
-        self.scan_impl(detector, txs, view, cache, sink, &NoopTracer)
-    }
-
-    /// Like [`ScanEngine::scan_with_cache`] but generic over both the
-    /// metrics sink and the trace sink — metered *and* traced in one
-    /// pass. `scan_metered`/`scan_traced` are thin wrappers over this.
+    /// Like [`ScanEngine::scan`], with every worker reporting stage
+    /// latency and counters into `sink` and decision provenance into
+    /// `tracer` (e.g. a [`crate::telemetry::RecordingSink`] and a
+    /// [`crate::trace::FlightRecorder`]), each through its own
+    /// lock-free worker front. Produces exactly the same analyses, in
+    /// the same input order, as the uninstrumented scan; the telemetry
+    /// and trace identity tests assert this.
+    ///
+    /// This is the propagating scan: no validation, no catch. A
+    /// panicking analysis propagates to the caller as a catchable panic
+    /// on the calling thread, never a process abort (see `scan_core`).
     pub fn scan_instrumented<S: MetricsSink + Sync, T: TraceSink + Sync>(
         &self,
         detector: &LeiShen,
@@ -545,11 +492,20 @@ impl ScanEngine {
         sink: &S,
         tracer: &T,
     ) -> Vec<Analysis> {
-        self.scan_impl(detector, txs, view, cache, sink, tracer)
+        self.scan_core(detector, txs, view, cache, sink, tracer, None)
+            .into_iter()
+            .map(|verdict| match verdict {
+                Verdict::Analyzed(analysis) => analysis,
+                // Unreachable: scan_core only quarantines under Some(policy).
+                Verdict::Indeterminate(q) => {
+                    panic!("quarantine without a resilience policy: {}", q.reason())
+                }
+            })
+            .collect()
     }
 
     /// Fault-isolated scan: every transaction gets a
-    /// [`Verdict`](crate::resilience::Verdict) — a completed analysis,
+    /// [`Verdict`] — a completed analysis,
     /// or a structured quarantine — and a panicking analysis never
     /// takes the batch (or the process) down with it. See
     /// [`ResilienceConfig`] for the validation/retry policy.
@@ -595,30 +551,6 @@ impl ScanEngine {
             quarantined: verdicts.iter().filter(|v| v.is_indeterminate()).count(),
         };
         ResilientScan { verdicts, stats }
-    }
-
-    /// The legacy scan: no validation, no catch — a panicking analysis
-    /// propagates to the caller (as a catchable panic on the calling
-    /// thread, never a process abort; see `scan_core`).
-    fn scan_impl<S: MetricsSink + Sync, T: TraceSink + Sync>(
-        &self,
-        detector: &LeiShen,
-        txs: &[&TxRecord],
-        view: &ChainView<'_>,
-        cache: &TagCache,
-        sink: &S,
-        tracer: &T,
-    ) -> Vec<Analysis> {
-        self.scan_core(detector, txs, view, cache, sink, tracer, None)
-            .into_iter()
-            .map(|verdict| match verdict {
-                Verdict::Analyzed(analysis) => analysis,
-                // Unreachable: scan_core only quarantines under Some(policy).
-                Verdict::Indeterminate(q) => {
-                    panic!("quarantine without a resilience policy: {}", q.reason())
-                }
-            })
-            .collect()
     }
 
     /// The scan, generic over the metrics sink and trace sink so the
@@ -1003,13 +935,13 @@ mod tests {
         let labels = Labels::new();
         let view = ChainView::new(&labels, &[], None);
         let detector = LeiShen::new(DetectorConfig::paper());
-        assert!(engine.scan(&detector, &[], &view).is_empty());
+        assert!(engine.scan(&detector, &[], &view, &TagCache::new()).is_empty());
     }
 
     // ----- resilience ------------------------------------------------------
 
     use crate::resilience::{FaultInjector, InducedFault};
-    use crate::telemetry::Stage;
+    use crate::telemetry::{RecordingSink, Stage};
     use crate::trace::FlightRecorder;
     use ethsim::Chain;
 
@@ -1060,7 +992,7 @@ mod tests {
             ScanEngine::new(1),
             ScanEngine::new(4).with_chunk_size(2).allow_oversubscription(),
         ] {
-            let legacy = engine.scan(&detector, &txs, &view);
+            let legacy = engine.scan(&detector, &txs, &view, &TagCache::new());
             let resilient =
                 engine.scan_resilient(&detector, &txs, &view, &TagCache::new(), &policy);
             assert!(resilient.is_fully_analyzed());

@@ -482,22 +482,10 @@ impl StreamService {
         view: &ChainView<'a>,
         blocks: impl IntoIterator<Item = Block<'a>>,
     ) -> StreamReport {
-        let cache = TagCache::new();
-        self.replay_with_cache(detector, view, &cache, blocks)
-    }
-
-    /// [`StreamService::replay`] against a caller-owned cache.
-    pub fn replay_with_cache<'a>(
-        &self,
-        detector: &LeiShen,
-        view: &ChainView<'a>,
-        cache: &TagCache,
-        blocks: impl IntoIterator<Item = Block<'a>>,
-    ) -> StreamReport {
         self.run(
             detector,
             view,
-            cache,
+            &TagCache::new(),
             &NoopSink,
             &NoopTracer,
             |producer| {

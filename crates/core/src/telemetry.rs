@@ -379,7 +379,7 @@ impl MetricsSink for RecordingSink {
 /// stores — no mutex, no atomics — which is what keeps the metered scan
 /// within the < 5% overhead budget. The accumulated batch merges into
 /// the shared sink when the front drops, so by the time
-/// `ScanEngine::scan_metered` returns, the shared sink holds every
+/// `ScanEngine::scan_instrumented` returns, the shared sink holds every
 /// worker's samples.
 #[derive(Debug)]
 pub struct WorkerSink<'a> {

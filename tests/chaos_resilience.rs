@@ -52,7 +52,7 @@ fn resilient_scan_is_verdict_identical_to_legacy_on_clean_corpus() {
     let policy = ResilienceConfig::new();
 
     for engine in engines() {
-        let legacy = engine.scan(&detector, &refs, &view);
+        let legacy = engine.scan(&detector, &refs, &view, &TagCache::new());
         let resilient =
             engine.scan_resilient(&detector, &refs, &view, &TagCache::new(), &policy);
         assert!(resilient.is_fully_analyzed());

@@ -546,10 +546,11 @@ impl<'a> leishen::MetricsSink for DiesOnce<'a> {
 // Parallel identity: the multi-worker engine splits per-transaction work
 // into input-order chunks, so on ANY corpus — whatever the creation
 // forest, transfer graph, label placement or chunk size — it must produce
-// byte-identical analyses to a serial scan. The same holds on the
-// resilient path with corrupted records present: parallelism must not
-// change which transactions get quarantined, nor the analyses of the
-// healthy ones — not even when a worker dies mid-chunk.
+// byte-identical analyses to a serial scan, on a fresh tag cache and on
+// one warmed by an earlier batch. The same holds on the resilient path
+// with corrupted records present: parallelism must not change which
+// transactions get quarantined, nor the analyses of the healthy ones —
+// not even when a worker dies mid-chunk.
 proptest! {
     #[test]
     fn parallel_scan_matches_serial_on_arbitrary_corpora(
@@ -621,8 +622,16 @@ proptest! {
         let dump = |analyses: &[leishen::Analysis]| -> Vec<String> {
             analyses.iter().map(|a| format!("{a:?}")).collect()
         };
-        let want = dump(&serial.scan(&detector, &refs, &view));
-        prop_assert_eq!(&dump(&parallel.scan(&detector, &refs, &view)), &want);
+        let want = dump(&serial.scan(&detector, &refs, &view, &TagCache::new()));
+        let cache = TagCache::new();
+        prop_assert_eq!(&dump(&parallel.scan(&detector, &refs, &view, &cache)), &want);
+
+        // Warm cache: a second batch on the same cache is served from its
+        // snapshot and must match the fresh-cache analyses, resolving no
+        // tag anew.
+        let cold_misses = cache.misses();
+        prop_assert_eq!(&dump(&parallel.scan(&detector, &refs, &view, &cache)), &want);
+        prop_assert_eq!(cache.misses(), cold_misses);
 
         // Resilient path: corrupt every fifth record's journal (a seq far
         // past the contiguous range breaks the executor invariant) and

@@ -262,11 +262,12 @@ fn detector_outputs_are_serializable() {
     let recorder = leishen::FlightRecorder::new();
     let engine = leishen::ScanEngine::new(1);
     let cache = leishen::TagCache::new();
-    engine.scan_traced(
+    engine.scan_instrumented(
         &LeiShen::new(DetectorConfig::paper()),
         &[record],
         &view,
         &cache,
+        &leishen::NoopSink,
         &recorder,
     );
     let trace = recorder.find(record.id).expect("trace recorded");

@@ -10,7 +10,8 @@
 
 use leishen::tagging::tag_of;
 use leishen::{
-    AnalysisScratch, DetectorConfig, LeiShen, RecordingSink, ScanEngine, TagCache, STAGES,
+    AnalysisScratch, DetectorConfig, LeiShen, NoopTracer, RecordingSink, ScanEngine, TagCache,
+    STAGES,
 };
 use leishen_scenarios::{run_all_attacks, World};
 
@@ -28,10 +29,11 @@ fn metered_scan_is_identical_to_unmetered_scan() {
 
     let engine = ScanEngine::new(4).allow_oversubscription();
 
-    let plain = engine.scan_with_cache(&detector, &records, &view, &TagCache::new());
+    let plain = engine.scan(&detector, &records, &view, &TagCache::new());
 
     let sink = RecordingSink::new();
-    let metered = engine.scan_metered(&detector, &records, &view, &TagCache::new(), &sink);
+    let metered =
+        engine.scan_instrumented(&detector, &records, &view, &TagCache::new(), &sink, &NoopTracer);
 
     assert_eq!(plain, metered, "recording sink must not change any analysis");
     assert_eq!(sink.transactions(), records.len() as u64);
@@ -53,19 +55,27 @@ fn parallel_counters_equal_serial_reference() {
     let serial_sink = RecordingSink::new();
     let mut scratch = AnalysisScratch::default();
     for record in &records {
-        detector.analyze_metered(
+        detector.analyze_traced(
             record,
             &view,
             &mut |addr| tag_of(addr, view.labels(), view.creations()),
             &mut scratch,
             &serial_sink,
+            &NoopTracer,
         );
     }
 
     // Racing workers funneling into one shared sink.
     let parallel_sink = RecordingSink::new();
     let engine = ScanEngine::new(4).allow_oversubscription();
-    engine.scan_metered(&detector, &records, &view, &TagCache::new(), &parallel_sink);
+    engine.scan_instrumented(
+        &detector,
+        &records,
+        &view,
+        &TagCache::new(),
+        &parallel_sink,
+        &NoopTracer,
+    );
 
     // Counter totals are order-independent sums, so the racing merge must
     // reproduce the serial numbers exactly.
@@ -98,10 +108,10 @@ fn sampled_sink_keeps_counters_exact() {
     let engine = ScanEngine::new(4).allow_oversubscription();
 
     let exact = RecordingSink::new();
-    engine.scan_metered(&detector, &records, &view, &TagCache::new(), &exact);
+    engine.scan_instrumented(&detector, &records, &view, &TagCache::new(), &exact, &NoopTracer);
 
     let sampled = RecordingSink::sampled(4);
-    engine.scan_metered(&detector, &records, &view, &TagCache::new(), &sampled);
+    engine.scan_instrumented(&detector, &records, &view, &TagCache::new(), &sampled, &NoopTracer);
 
     // Sampling thins the latency histograms only; the work counters are
     // delivered for every transaction regardless.

@@ -15,7 +15,7 @@
 use ethsim::{TxId, TxStatus, TxTrace};
 use leishen::trace::export::{export_chrome_trace, export_json, export_jsonl, parse_jsonl};
 use leishen::trace::json;
-use leishen::{FlightRecorder, Reason, ScanEngine, TagCache, TxProvenance};
+use leishen::{FlightRecorder, NoopSink, Reason, ScanEngine, TagCache, TxProvenance};
 use leishen_scenarios::ExecutedAttack;
 
 mod common;
@@ -32,7 +32,7 @@ fn traced_corpus() -> (Vec<ExecutedAttack>, FlightRecorder, Vec<leishen::Analysi
     let recorder = FlightRecorder::with_capacity(64);
     let cache = TagCache::new();
     let engine = ScanEngine::new(4).allow_oversubscription();
-    let traced = engine.scan_traced(&detector, &records, &view, &cache, &recorder);
+    let traced = engine.scan_instrumented(&detector, &records, &view, &cache, &NoopSink, &recorder);
     let reference: Vec<_> = records.iter().map(|r| detector.analyze(r, &view)).collect();
     (corpus.attacks, recorder, traced, reference)
 }
@@ -161,7 +161,14 @@ fn wild_corpus_sample_traces_match_golden_snapshot() {
 
     let recorder = FlightRecorder::with_capacity(sample.len());
     let detector = common::paper_detector();
-    ScanEngine::new(1).scan_traced(&detector, &sample, &view, &TagCache::new(), &recorder);
+    ScanEngine::new(1).scan_instrumented(
+        &detector,
+        &sample,
+        &view,
+        &TagCache::new(),
+        &NoopSink,
+        &recorder,
+    );
     assert_eq!(
         recorder.recorded(),
         sample.len() as u64,
