@@ -1,6 +1,6 @@
 //! Batch-scan throughput: the serial per-transaction loop vs the
-//! [`leishen::ScanEngine`] (shared tag cache + input-order chunks over a
-//! worker pool) over the wild corpus, swept across worker counts, with
+//! [`leishen::ScanEngine`] (per-worker tag fronts + input-order chunks
+//! over a worker pool) over the wild corpus, swept across worker counts, with
 //! the corpus's [`leishen::WavePlan`] affinity shape recorded alongside.
 //!
 //! ```sh
@@ -12,10 +12,10 @@
 //! `EXPERIMENTS.md` for the schema). The serial baseline is the plain
 //! `LeiShen::analyze` loop every other binary uses, which re-resolves
 //! every tag from the creation tree on every transaction. Each engine
-//! configuration keeps one shared `TagCache` alive across trials — the
-//! engine's steady state, where a scanner processes batch after batch
-//! over the same chain and only the first (untimed, warm-up) batch pays
-//! the cold tag-resolution misses. Each reported number is the best of
+//! configuration keeps one `TagCache` alive across trials — the engine's
+//! steady state, where a scanner processes batch after batch over the
+//! same chain and its workers start each batch with the tag fronts the
+//! previous batch left warm. Each reported number is the best of
 //! `--reps` timed trials after that warm-up pass; both counts are
 //! recorded in the JSON so a reader can judge how hardened the
 //! measurement was.
@@ -126,7 +126,7 @@ fn main() {
     let mut serial_lat = measure_latencies(&world, txs(), config());
     sort_samples(&mut serial_lat);
 
-    // The engine's hot path timed per transaction (shared cache, serial
+    // The engine's hot path timed per transaction (one tag front, serial
     // order) — where the batch percentiles come from.
     let mut cached_lat = measure_latencies_cached(&world, txs(), config());
     sort_samples(&mut cached_lat);
@@ -173,19 +173,16 @@ fn main() {
     }
 
     // Steady-state cache behaviour: after the warm-up pass plus the timed
-    // trials, nearly every tag lookup should hit, and on a lightly
-    // contended scan the shards should almost never make a worker wait.
+    // trials, a lookup misses only when its front slot was taken over by
+    // another address since the last time it was resolved.
     for c in &configs {
         println!(
-            "tag cache at {} worker{}: {:.1}% hit rate ({} hits / {} misses, {} entries, {} lock waits, {} snapshot rebuilds)",
+            "tag cache at {} worker{}: {:.1}% hit rate ({} hits / {} misses)",
             c.workers,
             if c.workers == 1 { "" } else { "s" },
             c.cache.hit_rate() * 100.0,
             c.cache.hits(),
             c.cache.misses(),
-            c.cache.len(),
-            c.cache.lock_waits(),
-            c.cache.snapshot_rebuilds(),
         );
     }
 

@@ -22,7 +22,8 @@ use std::time::Instant;
 
 use ethsim::TxRecord;
 use leishen::{
-    AnalysisScratch, DetectorConfig, LeiShen, NoopSink, NoopTracer, ScanEngine, TagCache,
+    AnalysisScratch, DetectorConfig, LeiShen, LocalTagCache, NoopSink, NoopTracer, ScanEngine,
+    TagCache,
 };
 use leishen_scenarios::generator::{generate, GeneratorConfig};
 use leishen_scenarios::{run_all_attacks, ExecutedAttack, GeneratedTx, World};
@@ -151,8 +152,9 @@ pub fn measure_latencies(
 }
 
 /// Per-transaction latencies (µs) through the batch-scan hot path: tags
-/// resolved via one shared [`TagCache`] across the whole set. The
-/// cache-warm twin of [`measure_latencies`].
+/// resolved via one [`LocalTagCache`] front across the whole set, as a
+/// scan worker resolves them. The cache-warm twin of
+/// [`measure_latencies`].
 pub fn measure_latencies_cached(
     world: &World,
     txs: impl Iterator<Item = ethsim::TxId>,
@@ -162,6 +164,7 @@ pub fn measure_latencies_cached(
     let view = world.view(&labels);
     let detector = LeiShen::new(config);
     let cache = TagCache::new();
+    let mut tags = LocalTagCache::new(&cache);
     let mut out = Vec::new();
     for tx in txs {
         let record = world.chain.replay(tx).expect("recorded");
@@ -169,7 +172,7 @@ pub fn measure_latencies_cached(
         let analysis = detector.analyze_traced(
             record,
             &view,
-            &mut |addr| cache.resolve(addr, view.labels(), view.creations()),
+            &mut |addr| tags.resolve(addr, view.labels(), view.creations()),
             &mut AnalysisScratch::default(),
             &NoopSink,
             &NoopTracer,

@@ -1,24 +1,27 @@
-//! Parallel batch scanning with a shared tag cache.
+//! Parallel batch scanning with per-worker tag fronts.
 //!
 //! The per-transaction pipeline ([`LeiShen::analyze`]) re-derives every
 //! account tag from scratch: each `tag_of` call walks the account's
 //! creation tree and allocates the application name it finds. Across a
 //! corpus scan the same venues, providers, and token contracts appear in
-//! nearly every transaction, so the vast majority of those walks repeat
-//! work done a few transactions earlier.
+//! nearly every transaction, so many of those walks repeat work done a
+//! few transactions earlier; the initiators and borrowers, which are
+//! most of the distinct addresses, appear in one transaction only.
 //!
 //! This module adds two pieces:
 //!
-//! * [`TagCache`] — a sharded, concurrent `Address → Tag` memo table.
-//!   Resolution goes through the cache once per distinct address *per
-//!   corpus* instead of per transaction. The cache is only valid for one
-//!   `(labels, creations)` context; build a fresh one per [`ChainView`].
+//! * [`TagCache`] — the tag state of one `(labels, creations)` context:
+//!   a pool of [`LocalTagCache`] fronts, fixed-size direct-mapped tables
+//!   that keep the recurring addresses' tags for each scan worker and
+//!   carry them from one scan to the next. Build a fresh cache per
+//!   [`ChainView`].
 //! * [`ScanEngine`] — cuts a batch into fixed-size chunks in input order
 //!   and fans them over a worker pool (workers claim the next chunk from
-//!   a shared counter), every worker sharing one `TagCache`. Results come
-//!   back in **input order** regardless of which worker processed which
-//!   chunk, so a parallel scan is byte-for-byte comparable with a serial
-//!   loop over the same slice.
+//!   a shared counter), each worker resolving through its own front of
+//!   one shared `TagCache`. Results come back in **input order**
+//!   regardless of which worker processed which chunk, so a parallel
+//!   scan is byte-for-byte comparable with a serial loop over the same
+//!   slice.
 //!
 //! ```
 //! use leishen::{ChainView, DetectorConfig, Labels, LeiShen, ScanEngine, TagCache};
@@ -36,7 +39,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use ethsim::{validate_record, Address, CreationIndex, TxRecord};
 use parking_lot::{Mutex, RwLock};
@@ -51,14 +53,15 @@ use crate::tagging::{tag_of, Tag};
 use crate::telemetry::{MetricsSink, NoopSink};
 use crate::trace::{record_indeterminate, NoopTracer, TraceSink};
 
-/// Number of independent lock shards. A power of two so the shard index
-/// is a mask; 16 keeps contention negligible for any realistic worker
-/// count while staying cache-friendly.
+/// Number of independent lock shards of the [`TagCache::resolve`] memo.
+/// A power of two so the shard index is a mask; 16 keeps contention
+/// negligible for any realistic worker count while staying
+/// cache-friendly.
 pub const SHARD_COUNT: usize = 16;
 
 /// FNV-1a. Addresses are short fixed-size keys held in trusted maps, so
 /// SipHash's hash-flooding resistance buys nothing here and costs several
-/// times more per probe — and the cache probe is the hot path's single
+/// times more per probe — and the tag probe is the hot path's single
 /// most frequent operation.
 pub(crate) struct FnvHasher(u64);
 
@@ -94,46 +97,66 @@ impl Hasher for FnvHasher {
 pub(crate) type BuildFnv = BuildHasherDefault<FnvHasher>;
 type TagMapInner = HashMap<Address, Tag, BuildFnv>;
 
-/// A sharded, concurrent memo table for [`tag_of`] results.
+/// Slots in one worker front ([`LocalTagCache`]). A power of two so the
+/// slot index is a mask. A scan's hot set (the venues, providers and
+/// tokens that recur from one transaction to the next) fits with room
+/// to spare; the per-transaction initiators and borrowers that make up
+/// most distinct addresses only pass through.
+const FRONT_SLOTS: usize = 1024;
+
+/// One direct-mapped front: slot `i` holds the last address resolved
+/// whose FNV hash masks to `i`, with its tag. The zero address never
+/// enters a front, so `(Address::ZERO, Tag::BlackHole)` marks an empty
+/// slot.
+type Front = Box<[(Address, Tag)]>;
+
+/// Fronts returned by finished scans, ready for the next one. `epoch`
+/// counts [`TagCache::clear`] calls, so a front checked out before a
+/// clear is dropped instead of returned.
+#[derive(Debug, Default)]
+struct FrontPool {
+    fronts: Vec<Front>,
+    epoch: u64,
+}
+
+/// Tag resolution state for one `(labels, creations)` context: the pool
+/// of worker fronts that scans resolve through, and an exact memo table
+/// for direct [`TagCache::resolve`] calls.
 ///
-/// Tags depend only on `(address, labels, creations)`, and a scan runs
-/// against one fixed [`ChainView`], so resolutions can be shared freely
-/// across transactions and across worker threads. Each shard is an
-/// independent `RwLock<HashMap>`; lookups take a read lock, inserts a
-/// write lock on one shard only.
+/// A scan worker resolves through a [`LocalTagCache`]: a fixed-size,
+/// direct-mapped front that it owns for the scan and hands back to this
+/// cache's pool afterwards, so the next scan on the same cache (the next
+/// stream block, the next batch) starts with warm fronts. A scan takes
+/// no lock and does no atomic operation per lookup, and the cache never
+/// grows with the corpus: a cold scan pays one [`tag_of`] walk per front
+/// miss instead of building a corpus-wide memo whose entries are almost
+/// all used once.
 ///
-/// The zero address short-circuits to [`Tag::BlackHole`] without touching
-/// the table.
+/// [`TagCache::resolve`] keeps a sharded `RwLock<HashMap>` memo for
+/// callers outside a scan; scans never touch it. Tags depend only on
+/// `(address, labels, creations)`, so one cache serves one
+/// [`ChainView`]; call [`TagCache::clear`] when either changes.
+///
+/// The zero address short-circuits to [`Tag::BlackHole`] everywhere.
 #[derive(Debug, Default)]
 pub struct TagCache {
     shards: [RwLock<TagMapInner>; SHARD_COUNT],
     hits: AtomicU64,
     // Misses are tallied per shard: every miss takes that shard's write
     // lock (the only contended operation), so the per-shard miss counts
-    // double as the cache's contention profile.
+    // double as the memo's contention profile.
     shard_misses: [AtomicU64; SHARD_COUNT],
+    // Misses of the worker fronts, added when each front is dropped.
+    front_misses: AtomicU64,
     // Lock acquisitions that found the shard already held (the try-lock
-    // fast path failed and the caller had to wait). Worker fronts answer
-    // warm lookups from the lock-free snapshot, so on a warm cache this
-    // only counts cold-miss collisions.
+    // fast path failed and the caller had to wait).
     shard_lock_waits: [AtomicU64; SHARD_COUNT],
-    // Bumped after every insert; `snapshot` is rebuilt only when its
-    // recorded generation falls behind this counter.
-    generation: AtomicU64,
-    snapshot: RwLock<Snapshot>,
-    snapshot_rebuilds: AtomicU64,
+    pool: Mutex<FrontPool>,
 }
 
-/// A frozen merge of every shard at some generation. Entries are
-/// immutable once inserted, so a stale snapshot is only ever *missing*
-/// addresses, never wrong about one.
-#[derive(Debug, Default)]
-struct Snapshot {
-    generation: u64,
-    map: Arc<TagMapInner>,
-}
-
-/// Telemetry snapshot of one [`TagCache`] shard.
+/// Telemetry snapshot of one [`TagCache`] shard. Shards back only
+/// [`TagCache::resolve`]; scans resolve through worker fronts and leave
+/// them untouched.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStat {
     /// Distinct addresses currently cached in the shard.
@@ -142,9 +165,15 @@ pub struct ShardStat {
     /// lock, so this is the shard's share of write contention.
     pub inserts: u64,
     /// Lock acquisitions on the shard that found it already held and had
-    /// to wait (read or write): the shard's contention, paid only on
-    /// lookups that miss the worker fronts.
+    /// to wait (read or write).
     pub lock_waits: u64,
+}
+
+/// The FNV hash of `addr`; shard and front-slot indices are its low bits.
+fn fnv(addr: Address) -> usize {
+    let mut h = FnvHasher::default();
+    h.write(addr.as_bytes());
+    h.finish() as usize
 }
 
 impl TagCache {
@@ -153,19 +182,13 @@ impl TagCache {
         TagCache::default()
     }
 
-    fn shard_index(&self, addr: Address) -> usize {
-        let mut h = FnvHasher::default();
-        h.write(addr.as_bytes());
-        (h.finish() as usize) & (SHARD_COUNT - 1)
-    }
-
-    /// The tag of `addr`, from the cache when present, computed (and
-    /// cached) via [`tag_of`] otherwise.
+    /// The tag of `addr`, from the memo table when present, computed
+    /// (and memoized) via [`tag_of`] otherwise.
     pub fn resolve(&self, addr: Address, labels: &Labels, creations: &CreationIndex) -> Tag {
         if addr.is_zero() {
             return Tag::BlackHole;
         }
-        let idx = self.shard_index(addr);
+        let idx = fnv(addr) & (SHARD_COUNT - 1);
         let shard = &self.shards[idx];
         // Try-lock first so contention is *observable*: a failed try is
         // exactly one would-have-blocked acquisition, counted before
@@ -187,70 +210,29 @@ impl TagCache {
             shard.write()
         });
         guard.insert(addr, tag.clone());
-        drop(guard);
-        self.generation.fetch_add(1, Ordering::Release);
         tag
     }
 
-    /// A frozen, lock-free view of everything cached so far, shared by
-    /// reference. Worker fronts ([`LocalTagCache`]) probe this map with
-    /// no lock and no per-worker copy; it is rebuilt (one merge pass
-    /// over the shards) only when inserts have happened since the last
-    /// snapshot, so in the steady state — every address of the working
-    /// set already cached — taking a snapshot is one `Arc` clone.
-    pub(crate) fn snapshot(&self) -> Arc<TagMapInner> {
-        let current = self.generation.load(Ordering::Acquire);
-        {
-            let snap = self.snapshot.read();
-            if snap.generation == current {
-                return Arc::clone(&snap.map);
-            }
-        }
-        let mut snap = self.snapshot.write();
-        // Double-checked: another worker may have rebuilt while this one
-        // waited on the write lock.
-        let current = self.generation.load(Ordering::Acquire);
-        if snap.generation == current {
-            return Arc::clone(&snap.map);
-        }
-        // Record the generation observed *before* merging: an insert
-        // racing with the merge bumps the counter past this value, so
-        // the next snapshot() call rebuilds again and picks it up.
-        let mut merged =
-            TagMapInner::with_capacity_and_hasher(self.len(), BuildFnv::default());
-        for shard in &self.shards {
-            for (addr, tag) in shard.read().iter() {
-                merged.insert(*addr, tag.clone());
-            }
-        }
-        self.snapshot_rebuilds.fetch_add(1, Ordering::Relaxed);
-        *snap = Snapshot {
-            generation: current,
-            map: Arc::new(merged),
-        };
-        Arc::clone(&snap.map)
-    }
-
-    /// How many times the frozen snapshot that seeds each
-    /// [`LocalTagCache`] had to be rebuilt (0 ⇒ never taken or always
-    /// current). One rebuild per batch of new addresses is the expected
-    /// steady state; a rebuild per *scan* means the working set is
-    /// still growing.
+    /// Always 0: scans no longer rebuild a frozen snapshot of the cache.
+    /// Kept until the benchmark stops reporting
+    /// `scan.snapshot_rebuilds_per_block`.
     pub fn snapshot_rebuilds(&self) -> u64 {
-        self.snapshot_rebuilds.load(Ordering::Relaxed)
+        0
     }
 
-    /// Number of lookups answered from the cache.
+    /// Number of lookups answered without calling [`tag_of`].
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of lookups that had to compute a fresh tag.
+    /// Number of lookups that called [`tag_of`].
     pub fn misses(&self) -> u64 {
-        self.shard_misses
-            .iter()
-            .map(|m| m.load(Ordering::Relaxed))
-            .sum()
+        self.front_misses.load(Ordering::Relaxed)
+            + self
+                .shard_misses
+                .iter()
+                .map(|m| m.load(Ordering::Relaxed))
+                .sum::<u64>()
     }
 
     /// Fraction of lookups answered from the cache (0 when untouched).
@@ -264,8 +246,8 @@ impl TagCache {
         }
     }
 
-    /// Per-shard entry and write (miss) counts — the cache's contention
-    /// profile, surfaced by the `obs` telemetry bin.
+    /// Per-shard entry and write (miss) counts of the
+    /// [`TagCache::resolve`] memo — its contention profile.
     pub fn shard_stats(&self) -> [ShardStat; SHARD_COUNT] {
         let mut out = [ShardStat::default(); SHARD_COUNT];
         for (i, slot) in out.iter_mut().enumerate() {
@@ -277,8 +259,8 @@ impl TagCache {
     }
 
     /// Total shard-lock acquisitions that had to wait, across all shards
-    /// — the cache's aggregate contention signal, next to
-    /// [`TagCache::snapshot_rebuilds`] and the hit rate.
+    /// of the [`TagCache::resolve`] memo. Scans take no lock, so a scan
+    /// adds nothing here.
     pub fn lock_waits(&self) -> u64 {
         self.shard_lock_waits
             .iter()
@@ -286,98 +268,110 @@ impl TagCache {
             .sum()
     }
 
-    /// Number of distinct addresses currently cached.
+    /// Number of distinct addresses in the [`TagCache::resolve`] memo.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()
     }
 
-    /// Whether no address has been cached yet.
+    /// Whether the [`TagCache::resolve`] memo is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Drops all cached tags and resets the hit/miss counters. Call this
-    /// when the label cloud or creation dataset changes.
+    /// Drops all cached tags, memoized and pooled, and resets the
+    /// counters. Call this when the label cloud or creation dataset
+    /// changes.
     pub fn clear(&self) {
+        // Under the pool lock, so no front lands its tallies between the
+        // epoch bump and the counter reset.
+        let mut pool = self.pool.lock();
+        pool.fronts.clear();
+        pool.epoch += 1;
         for shard in &self.shards {
             shard.write().clear();
         }
         self.hits.store(0, Ordering::Relaxed);
+        self.front_misses.store(0, Ordering::Relaxed);
         for m in &self.shard_misses {
             m.store(0, Ordering::Relaxed);
         }
         for m in &self.shard_lock_waits {
             m.store(0, Ordering::Relaxed);
         }
-        // Invalidate the frozen view: bump the generation and publish an
-        // empty snapshot stamped with it.
-        let generation = self.generation.fetch_add(1, Ordering::Release) + 1;
-        *self.snapshot.write() = Snapshot {
-            generation,
-            map: Arc::new(TagMapInner::default()),
-        };
     }
 }
 
-/// A worker-private front for a shared [`TagCache`].
+/// A worker-private, fixed-size front for a [`TagCache`].
 ///
 /// A scan worker resolves the same handful of venue / provider / token
-/// addresses on nearly every transaction. This layer answers those
-/// repeats from an unsynchronized local map — no lock, no shard hash,
-/// no atomic — and only falls through to the shared cache on a local
-/// miss, so tags computed by one worker still reach the others.
+/// addresses on nearly every transaction. This front answers those
+/// repeats from a direct-mapped table of 1024 slots, indexed by the
+/// address's FNV hash: a hit clones the slot's tag, a miss calls
+/// [`tag_of`] and overwrites the slot. No lock, no atomic, no growth.
 ///
-/// Local hits count toward the shared cache's [`TagCache::hits`] counter;
-/// the tally is flushed when the `LocalTagCache` is dropped.
+/// The table comes from the cache's pool and goes back to it on drop,
+/// together with the hit and miss tallies, which then count toward
+/// [`TagCache::hits`] and [`TagCache::misses`]. A front taken before a
+/// [`TagCache::clear`] is discarded on drop instead, tallies and all.
 pub struct LocalTagCache<'a> {
     shared: &'a TagCache,
-    // The shared cache's frozen view at construction time: probed with
-    // no lock, no atomic, and no per-worker copy. Over a warm cache this
-    // answers essentially every lookup.
-    snapshot: Arc<TagMapInner>,
-    // Addresses resolved after the snapshot was taken. Usually a handful
-    // per batch; they reach other workers through the shared cache and
-    // join the snapshot on its next rebuild.
-    overlay: TagMapInner,
+    slots: Front,
+    epoch: u64,
     hits: u64,
+    misses: u64,
 }
 
 impl<'a> LocalTagCache<'a> {
-    /// A front over `shared`, seeded with its current frozen snapshot.
+    /// A front over `shared`: a pooled table when one is free, a fresh
+    /// empty one otherwise.
     pub fn new(shared: &'a TagCache) -> Self {
+        let (slots, epoch) = {
+            let mut pool = shared.pool.lock();
+            (pool.fronts.pop(), pool.epoch)
+        };
         LocalTagCache {
             shared,
-            snapshot: shared.snapshot(),
-            overlay: TagMapInner::default(),
+            slots: slots.unwrap_or_else(|| {
+                vec![(Address::ZERO, Tag::BlackHole); FRONT_SLOTS].into_boxed_slice()
+            }),
+            epoch,
             hits: 0,
+            misses: 0,
         }
     }
 
-    /// The tag of `addr` — snapshot first, local overlay second, shared
-    /// cache third, [`tag_of`] last.
+    /// The tag of `addr`: from its slot when the slot holds `addr`,
+    /// from [`tag_of`] otherwise.
     pub fn resolve(&mut self, addr: Address, labels: &Labels, creations: &CreationIndex) -> Tag {
         if addr.is_zero() {
             return Tag::BlackHole;
         }
-        if let Some(tag) = self.snapshot.get(&addr) {
+        let slot = &mut self.slots[fnv(addr) & (FRONT_SLOTS - 1)];
+        if slot.0 == addr {
             self.hits += 1;
-            return tag.clone();
+            return slot.1.clone();
         }
-        if let Some(tag) = self.overlay.get(&addr) {
-            self.hits += 1;
-            return tag.clone();
-        }
-        let tag = self.shared.resolve(addr, labels, creations);
-        self.overlay.insert(addr, tag.clone());
+        self.misses += 1;
+        let tag = tag_of(addr, labels, creations);
+        *slot = (addr, tag.clone());
         tag
     }
 }
 
 impl Drop for LocalTagCache<'_> {
     fn drop(&mut self) {
-        if self.hits > 0 {
-            self.shared.hits.fetch_add(self.hits, Ordering::Relaxed);
+        let shared = self.shared;
+        let mut pool = shared.pool.lock();
+        // A front checked out before a `clear` holds tags of the old
+        // context: discard it and its tallies.
+        if pool.epoch != self.epoch {
+            return;
         }
+        shared.hits.fetch_add(self.hits, Ordering::Relaxed);
+        shared
+            .front_misses
+            .fetch_add(self.misses, Ordering::Relaxed);
+        pool.fronts.push(std::mem::take(&mut self.slots));
     }
 }
 
@@ -388,7 +382,7 @@ pub struct ScanStats {
     pub transactions: usize,
     /// Transactions whose analysis reported an attack.
     pub attacks: usize,
-    /// Tag lookups answered from the shared cache.
+    /// Tag lookups answered from the cache.
     pub cache_hits: u64,
     /// Tag lookups that computed a fresh tag.
     pub cache_misses: u64,
@@ -409,8 +403,8 @@ impl ScanStats {
     }
 }
 
-/// A batch scanner: fans transactions over a worker pool sharing one
-/// [`TagCache`], returning analyses in input order.
+/// A batch scanner: fans transactions over a worker pool resolving tags
+/// through one [`TagCache`], returning analyses in input order.
 ///
 /// The configured worker count is a *ceiling*: a scan never runs more
 /// workers than the batch has chunks, and never more than the machine
@@ -790,8 +784,9 @@ fn analyze_guarded<S: MetricsSink, T: TraceSink>(
             Err(payload) => {
                 // The unwound attempt may have left intermediate state
                 // in the scratch buffers; start the retry (and any
-                // later transaction) from a clean slate. The tag cache
-                // is kept — its entries are immutable once inserted.
+                // later transaction) from a clean slate. The tag front
+                // is kept — a slot is only ever overwritten whole, with
+                // the tag of the address it holds.
                 *scratch = AnalysisScratch::default();
                 if attempts >= max_attempts {
                     let message = payload_message(payload.as_ref());
@@ -925,6 +920,101 @@ mod tests {
         assert_eq!(cache.hit_rate(), 0.0);
         cache.resolve(Address::from_u64(1), &labels, &idx);
         assert!(cache.hit_rate() > 0.0);
+    }
+
+    #[test]
+    fn returned_front_is_reused() {
+        let labels = Labels::new();
+        let idx = CreationIndex::new(&[rec(1, 2)]);
+        let cache = TagCache::new();
+        let a = Address::from_u64(2);
+        LocalTagCache::new(&cache).resolve(a, &labels, &idx);
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        let mut front = LocalTagCache::new(&cache);
+        assert_eq!(front.resolve(a, &labels, &idx), tag_of(a, &labels, &idx));
+        drop(front);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // Scans leave the direct-resolve memo empty.
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn clear_retires_every_front() {
+        let idx = CreationIndex::new(&[]);
+        let a = Address::from_u64(7);
+        let mut labels = Labels::new();
+        labels.set(a, "Old");
+        let cache = TagCache::new();
+        LocalTagCache::new(&cache).resolve(a, &labels, &idx);
+        // Checked out before the clear, dropped after it.
+        let mut stale = LocalTagCache::new(&cache);
+        stale.resolve(a, &labels, &idx);
+        cache.clear();
+        drop(stale);
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+
+        labels.set(a, "New");
+        let mut front = LocalTagCache::new(&cache);
+        assert_eq!(front.resolve(a, &labels, &idx), Tag::App("New".into()));
+        drop(front);
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+    }
+
+    /// Addresses `from_u64(1..)` whose front slot is the slot of
+    /// `from_u64(1)`.
+    fn colliders(n: usize) -> Vec<Address> {
+        let slot = |a: Address| fnv(a) & (FRONT_SLOTS - 1);
+        let target = slot(Address::from_u64(1));
+        (1u64..)
+            .map(Address::from_u64)
+            .filter(|&a| slot(a) == target)
+            .take(n)
+            .collect()
+    }
+
+    proptest::proptest! {
+        // More distinct addresses than slots, repeats of them, the zero
+        // address, and runs of addresses that share one slot: the front
+        // answers every lookup exactly as the uncached walk does, and
+        // counts every non-zero lookup once.
+        #[test]
+        fn front_agrees_with_tag_of(
+            seed in 0u64..1000,
+            picks in proptest::collection::vec((0usize..6, 0usize..1200), 1..1500),
+        ) {
+            let universe: Vec<Address> = (1..=1200u64).map(Address::from_u64).collect();
+            let mut records = Vec::new();
+            let mut labels = Labels::new();
+            // A forest of random ten-node creation trees.
+            for (i, &a) in universe.iter().enumerate() {
+                if i % 10 > 0 {
+                    let parent = universe[i - i % 10 + (seed as usize + i) % (i % 10)];
+                    records.push(CreationRecord { creator: parent, created: a, block: 0 });
+                }
+                if (seed as usize + i).is_multiple_of(7) {
+                    labels.set(a, format!("App{}", (seed as usize + i) % 3));
+                }
+            }
+            let idx = CreationIndex::new(&records);
+            let colliders = colliders(4);
+            let picked = picks.iter().map(|&(kind, i)| match kind {
+                0 => colliders[i % colliders.len()],
+                1 => Address::ZERO,
+                _ => universe[i],
+            });
+            let lookups: Vec<Address> =
+                picked.clone().chain(universe.iter().copied()).chain(picked).collect();
+
+            let cache = TagCache::new();
+            let mut front = LocalTagCache::new(&cache);
+            for &a in &lookups {
+                proptest::prop_assert_eq!(front.resolve(a, &labels, &idx), tag_of(a, &labels, &idx));
+            }
+            drop(front);
+            let counted = lookups.iter().filter(|a| !a.is_zero()).count() as u64;
+            proptest::prop_assert_eq!(cache.hits() + cache.misses(), counted);
+            proptest::prop_assert!(cache.misses() > FRONT_SLOTS as u64);
+        }
     }
 
     #[test]

@@ -547,10 +547,12 @@ impl<'a> leishen::MetricsSink for DiesOnce<'a> {
 // into input-order chunks, so on ANY corpus — whatever the creation
 // forest, transfer graph, label placement or chunk size — it must produce
 // byte-identical analyses to a serial scan, on a fresh tag cache and on
-// one warmed by an earlier batch. The same holds on the resilient path
-// with corrupted records present: parallelism must not change which
-// transactions get quarantined, nor the analyses of the healthy ones —
-// not even when a worker dies mid-chunk.
+// one whose worker fronts an earlier batch warmed. Every transaction is a
+// Uniswap flash swap, so every analysis runs tagging and simplification.
+// The same holds on the resilient path with corrupted records present:
+// parallelism must not change which transactions get quarantined, nor
+// the analyses of the healthy ones — not even when a worker dies
+// mid-chunk.
 proptest! {
     #[test]
     fn parallel_scan_matches_serial_on_arbitrary_corpora(
@@ -561,8 +563,8 @@ proptest! {
             1..32
         ),
     ) {
-        use ethsim::{Transfer, TxId, TxRecord, TxStatus, TxTrace};
-        use leishen::{ChainView, LeiShen, NoopTracer, ResilienceConfig, ScanEngine};
+        use ethsim::{CallFrame, Transfer, TxId, TxRecord, TxStatus, TxTrace};
+        use leishen::{ChainView, LeiShen, NoopTracer, RecordingSink, ResilienceConfig, ScanEngine};
 
         // The random creation-forest family the tagging properties use.
         let mut records = Vec::new();
@@ -579,9 +581,21 @@ proptest! {
                 labels.set(a, format!("App{}", (seed + i) % 3));
             }
         }
+        // The flash-swap lender: a labelled pair outside the forest, so
+        // the loan leg always crosses applications and survives
+        // simplification.
+        let lender = Address::from_u64(999);
+        labels.set(lender, "Pair");
         let view = ChainView::new(&labels, &records, None);
 
+        // Each transaction is a Uniswap flash swap (Table II): a `swap`
+        // frame on the lender, the loan leg, the lender's `uniswapV2Call`
+        // into a borrower from the pool, and a transfer onwards.
+        let frame = |seq: u32, depth: u16, caller: Address, callee: Address, function: &str| {
+            CallFrame { seq, depth, caller, callee, function: function.into(), value: 0 }
+        };
         let txs: Vec<TxRecord> = specs.iter().enumerate().map(|(i, &(s, r, amount, tok))| {
+            let borrower = addrs[r];
             TxRecord {
                 id: TxId(i as u64 + 1),
                 block: i as u64 / 4,
@@ -593,19 +607,23 @@ proptest! {
                 trace: TxTrace {
                     transfers: vec![
                         Transfer {
-                            seq: 0,
-                            sender: addrs[s],
-                            receiver: addrs[r],
+                            seq: 1,
+                            sender: lender,
+                            receiver: borrower,
                             amount,
                             token: TokenId::from_index(tok),
                         },
                         Transfer {
-                            seq: 1,
-                            sender: addrs[r],
+                            seq: 3,
+                            sender: borrower,
                             receiver: addrs[(s + r) % addrs.len()],
                             amount: amount / 2 + 1,
                             token: TokenId::ETH,
                         },
+                    ],
+                    frames: vec![
+                        frame(0, 0, borrower, lender, "swap"),
+                        frame(2, 1, lender, borrower, "uniswapV2Call"),
                     ],
                     ..TxTrace::default()
                 },
@@ -622,16 +640,27 @@ proptest! {
         let dump = |analyses: &[leishen::Analysis]| -> Vec<String> {
             analyses.iter().map(|a| format!("{a:?}")).collect()
         };
-        let want = dump(&serial.scan(&detector, &refs, &view, &TagCache::new()));
-        let cache = TagCache::new();
-        prop_assert_eq!(&dump(&parallel.scan(&detector, &refs, &view, &cache)), &want);
+        let serial_analyses = serial.scan(&detector, &refs, &view, &TagCache::new());
+        prop_assert!(serial_analyses.iter().any(|a| !a.app_transfers.is_empty()));
+        let want = dump(&serial_analyses);
 
-        // Warm cache: a second batch on the same cache is served from its
-        // snapshot and must match the fresh-cache analyses, resolving no
-        // tag anew.
-        let cold_misses = cache.misses();
-        prop_assert_eq!(&dump(&parallel.scan(&detector, &refs, &view, &cache)), &want);
-        prop_assert_eq!(cache.misses(), cold_misses);
+        // Cold and warm: the second batch on the same cache starts from
+        // the fronts the first returned and must match the fresh-cache
+        // analyses. On both, every resolver call is counted once, as a
+        // hit or a miss (no address here is the zero address, which
+        // bypasses the count).
+        let cache = TagCache::new();
+        let mut resolved = Vec::new();
+        for _ in 0..2 {
+            let sink = RecordingSink::new();
+            let before = cache.hits() + cache.misses();
+            let got = parallel.scan_instrumented(&detector, &refs, &view, &cache, &sink, &NoopTracer);
+            prop_assert_eq!(&dump(&got), &want);
+            let calls = sink.counter_totals().tags_resolved;
+            prop_assert_eq!(cache.hits() + cache.misses() - before, calls);
+            resolved.push(calls);
+        }
+        prop_assert_eq!(resolved[0], resolved[1]);
 
         // Resilient path: corrupt every fifth record's journal (a seq far
         // past the contiguous range breaks the executor invariant) and
