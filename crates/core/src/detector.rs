@@ -142,10 +142,11 @@ impl LeiShen {
     ///   the view's labels and creations; this is how
     ///   [`crate::scan::ScanEngine`] workers plug in their cache fronts
     ///   (and how a caller shares one [`crate::scan::TagCache`] through
-    ///   `|addr| cache.resolve(..)`). It is a compile-time parameter,
+    ///   a [`crate::scan::LocalTagCache`] `front` and
+    ///   `|addr| front.resolve(..)`). It is a compile-time parameter,
     ///   not `&mut dyn FnMut`: the pipeline calls it roughly twice per
-    ///   journal entry, so on the cached batch-scan path the local-map
-    ///   probe must inline into the tagging loop.
+    ///   journal entry, so on the cached batch-scan path the front's
+    ///   slot probe must inline into the tagging loop.
     /// * `scratch` holds every intermediate the pipeline does not
     ///   return, reused on the next call, so a worker analyzing a batch
     ///   pays for those buffers once instead of once per transaction.

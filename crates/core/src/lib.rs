@@ -88,7 +88,7 @@ pub use resilience::{
     install_quiet_hook, Fault, FaultInjector, FaultPlan, InducedFault, InputFault, IoFault,
     IoFaultPlan, PlannedFault, Quarantine, ResilienceConfig, ResilientScan,
 };
-pub use scan::{LocalTagCache, ScanEngine, ScanStats, ShardStat, TagCache};
+pub use scan::{LocalTagCache, ScanEngine, ScanStats, TagCache};
 pub use sched::{access_set, SchedStats, WavePlan};
 pub use simplify::{
     simplify, simplify_into, simplify_into_observed, DropRule, SimplifyAction, SimplifyStats,
@@ -102,10 +102,7 @@ pub use stream::{
     Block, BlockReport, BoundedQueue, DurableReport, QueueStats, StreamConfig, StreamProducer,
     StreamReport, StreamService,
 };
-pub use tagging::{
-    shares_creation_ancestry, tag_transfers, tag_transfers_with, tag_transfers_with_into, Tag,
-    TagMap, TaggedTransfer,
-};
+pub use tagging::{tag_transfers, tag_transfers_with_into, Tag, TaggedTransfer};
 pub use telemetry::{
     MetricsSink, NoopSink, RecordingSink, Stage, StageSummary, TxCounters, TxCountersTotal,
     STAGES, STAGE_COUNT,

@@ -35,13 +35,12 @@
 //! ```
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use ethsim::{validate_record, Address, CreationIndex, TxRecord};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::detector::{Analysis, AnalysisScratch, ChainView, LeiShen};
 use crate::labels::Labels;
@@ -52,12 +51,6 @@ use crate::resilience::{
 use crate::tagging::{tag_of, Tag};
 use crate::telemetry::{MetricsSink, NoopSink};
 use crate::trace::{record_indeterminate, NoopTracer, TraceSink};
-
-/// Number of independent lock shards of the [`TagCache::resolve`] memo.
-/// A power of two so the shard index is a mask; 16 keeps contention
-/// negligible for any realistic worker count while staying
-/// cache-friendly.
-pub const SHARD_COUNT: usize = 16;
 
 /// FNV-1a. Addresses are short fixed-size keys held in trusted maps, so
 /// SipHash's hash-flooding resistance buys nothing here and costs several
@@ -95,7 +88,6 @@ impl Hasher for FnvHasher {
 }
 
 pub(crate) type BuildFnv = BuildHasherDefault<FnvHasher>;
-type TagMapInner = HashMap<Address, Tag, BuildFnv>;
 
 /// Slots in one worker front ([`LocalTagCache`]). A power of two so the
 /// slot index is a mask. A scan's hot set (the venues, providers and
@@ -120,8 +112,8 @@ struct FrontPool {
 }
 
 /// Tag resolution state for one `(labels, creations)` context: the pool
-/// of worker fronts that scans resolve through, and an exact memo table
-/// for direct [`TagCache::resolve`] calls.
+/// of worker fronts that scans resolve through, and the fronts' hit and
+/// miss tallies.
 ///
 /// A scan worker resolves through a [`LocalTagCache`]: a fixed-size,
 /// direct-mapped front that it owns for the scan and hands back to this
@@ -132,44 +124,20 @@ struct FrontPool {
 /// miss instead of building a corpus-wide memo whose entries are almost
 /// all used once.
 ///
-/// [`TagCache::resolve`] keeps a sharded `RwLock<HashMap>` memo for
-/// callers outside a scan; scans never touch it. Tags depend only on
-/// `(address, labels, creations)`, so one cache serves one
-/// [`ChainView`]; call [`TagCache::clear`] when either changes.
+/// Tags depend only on `(address, labels, creations)`, so one cache
+/// serves one [`ChainView`]; call [`TagCache::clear`] when either
+/// changes.
 ///
 /// The zero address short-circuits to [`Tag::BlackHole`] everywhere.
 #[derive(Debug, Default)]
 pub struct TagCache {
-    shards: [RwLock<TagMapInner>; SHARD_COUNT],
+    // Tallies of the worker fronts, added when each front is dropped.
     hits: AtomicU64,
-    // Misses are tallied per shard: every miss takes that shard's write
-    // lock (the only contended operation), so the per-shard miss counts
-    // double as the memo's contention profile.
-    shard_misses: [AtomicU64; SHARD_COUNT],
-    // Misses of the worker fronts, added when each front is dropped.
-    front_misses: AtomicU64,
-    // Lock acquisitions that found the shard already held (the try-lock
-    // fast path failed and the caller had to wait).
-    shard_lock_waits: [AtomicU64; SHARD_COUNT],
+    misses: AtomicU64,
     pool: Mutex<FrontPool>,
 }
 
-/// Telemetry snapshot of one [`TagCache`] shard. Shards back only
-/// [`TagCache::resolve`]; scans resolve through worker fronts and leave
-/// them untouched.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStat {
-    /// Distinct addresses currently cached in the shard.
-    pub entries: usize,
-    /// Misses routed to the shard — each one took the shard's write
-    /// lock, so this is the shard's share of write contention.
-    pub inserts: u64,
-    /// Lock acquisitions on the shard that found it already held and had
-    /// to wait (read or write).
-    pub lock_waits: u64,
-}
-
-/// The FNV hash of `addr`; shard and front-slot indices are its low bits.
+/// The FNV hash of `addr`; front-slot indices are its low bits.
 fn fnv(addr: Address) -> usize {
     let mut h = FnvHasher::default();
     h.write(addr.as_bytes());
@@ -182,41 +150,16 @@ impl TagCache {
         TagCache::default()
     }
 
-    /// The tag of `addr`, from the memo table when present, computed
-    /// (and memoized) via [`tag_of`] otherwise.
-    pub fn resolve(&self, addr: Address, labels: &Labels, creations: &CreationIndex) -> Tag {
-        if addr.is_zero() {
-            return Tag::BlackHole;
-        }
-        let idx = fnv(addr) & (SHARD_COUNT - 1);
-        let shard = &self.shards[idx];
-        // Try-lock first so contention is *observable*: a failed try is
-        // exactly one would-have-blocked acquisition, counted before
-        // falling back to the blocking path.
-        {
-            let guard = shard.try_read().unwrap_or_else(|| {
-                self.shard_lock_waits[idx].fetch_add(1, Ordering::Relaxed);
-                shard.read()
-            });
-            if let Some(tag) = guard.get(&addr) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return tag.clone();
-            }
-        }
-        self.shard_misses[idx].fetch_add(1, Ordering::Relaxed);
-        let tag = tag_of(addr, labels, creations);
-        let mut guard = shard.try_write().unwrap_or_else(|| {
-            self.shard_lock_waits[idx].fetch_add(1, Ordering::Relaxed);
-            shard.write()
-        });
-        guard.insert(addr, tag.clone());
-        tag
-    }
-
     /// Always 0: scans no longer rebuild a frozen snapshot of the cache.
     /// Kept until the benchmark stops reporting
     /// `scan.snapshot_rebuilds_per_block`.
     pub fn snapshot_rebuilds(&self) -> u64 {
+        0
+    }
+
+    /// Always 0: fronts take no lock per lookup. Kept until the
+    /// benchmark stops reporting `scan.lock_waits`.
+    pub fn lock_waits(&self) -> u64 {
         0
     }
 
@@ -227,12 +170,7 @@ impl TagCache {
 
     /// Number of lookups that called [`tag_of`].
     pub fn misses(&self) -> u64 {
-        self.front_misses.load(Ordering::Relaxed)
-            + self
-                .shard_misses
-                .iter()
-                .map(|m| m.load(Ordering::Relaxed))
-                .sum::<u64>()
+        self.misses.load(Ordering::Relaxed)
     }
 
     /// Fraction of lookups answered from the cache (0 when untouched).
@@ -246,58 +184,16 @@ impl TagCache {
         }
     }
 
-    /// Per-shard entry and write (miss) counts of the
-    /// [`TagCache::resolve`] memo — its contention profile.
-    pub fn shard_stats(&self) -> [ShardStat; SHARD_COUNT] {
-        let mut out = [ShardStat::default(); SHARD_COUNT];
-        for (i, slot) in out.iter_mut().enumerate() {
-            slot.entries = self.shards[i].read().len();
-            slot.inserts = self.shard_misses[i].load(Ordering::Relaxed);
-            slot.lock_waits = self.shard_lock_waits[i].load(Ordering::Relaxed);
-        }
-        out
-    }
-
-    /// Total shard-lock acquisitions that had to wait, across all shards
-    /// of the [`TagCache::resolve`] memo. Scans take no lock, so a scan
-    /// adds nothing here.
-    pub fn lock_waits(&self) -> u64 {
-        self.shard_lock_waits
-            .iter()
-            .map(|m| m.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Number of distinct addresses in the [`TagCache::resolve`] memo.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// Whether the [`TagCache::resolve`] memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all cached tags, memoized and pooled, and resets the
-    /// counters. Call this when the label cloud or creation dataset
-    /// changes.
+    /// Drops all pooled fronts and resets the counters. Call this when
+    /// the label cloud or creation dataset changes.
     pub fn clear(&self) {
         // Under the pool lock, so no front lands its tallies between the
         // epoch bump and the counter reset.
         let mut pool = self.pool.lock();
         pool.fronts.clear();
         pool.epoch += 1;
-        for shard in &self.shards {
-            shard.write().clear();
-        }
         self.hits.store(0, Ordering::Relaxed);
-        self.front_misses.store(0, Ordering::Relaxed);
-        for m in &self.shard_misses {
-            m.store(0, Ordering::Relaxed);
-        }
-        for m in &self.shard_lock_waits {
-            m.store(0, Ordering::Relaxed);
-        }
+        self.misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -368,9 +264,7 @@ impl Drop for LocalTagCache<'_> {
             return;
         }
         shared.hits.fetch_add(self.hits, Ordering::Relaxed);
-        shared
-            .front_misses
-            .fetch_add(self.misses, Ordering::Relaxed);
+        shared.misses.fetch_add(self.misses, Ordering::Relaxed);
         pool.fronts.push(std::mem::take(&mut self.slots));
     }
 }
@@ -382,25 +276,8 @@ pub struct ScanStats {
     pub transactions: usize,
     /// Transactions whose analysis reported an attack.
     pub attacks: usize,
-    /// Tag lookups answered from the cache.
-    pub cache_hits: u64,
-    /// Tag lookups that computed a fresh tag.
-    pub cache_misses: u64,
     /// Transactions quarantined instead of analyzed.
     pub quarantined: usize,
-}
-
-impl ScanStats {
-    /// Fraction of tag lookups answered from the cache (0 for an empty
-    /// scan).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
 }
 
 /// A batch scanner: fans transactions over a worker pool resolving tags
@@ -540,8 +417,6 @@ impl ScanEngine {
                 .filter_map(Verdict::analysis)
                 .filter(|a| a.is_attack())
                 .count(),
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
             quarantined: verdicts.iter().filter(|v| v.is_indeterminate()).count(),
         };
         ResilientScan { verdicts, stats }
@@ -851,78 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_agrees_with_direct_resolution() {
-        let mut labels = Labels::new();
-        labels.set(Address::from_u64(1), "Uniswap");
-        let idx = CreationIndex::new(&[rec(1, 2), rec(2, 3), rec(10, 11)]);
-        let cache = TagCache::new();
-        for a in [0u64, 1, 2, 3, 10, 11, 99] {
-            let addr = Address::from_u64(a);
-            assert_eq!(
-                cache.resolve(addr, &labels, &idx),
-                tag_of(addr, &labels, &idx),
-                "address {a}"
-            );
-        }
-    }
-
-    #[test]
-    fn second_lookup_hits() {
-        let labels = Labels::new();
-        let idx = CreationIndex::new(&[rec(1, 2)]);
-        let cache = TagCache::new();
-        let a = Address::from_u64(2);
-        let first = cache.resolve(a, &labels, &idx);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 0);
-        let second = cache.resolve(a, &labels, &idx);
-        assert_eq!(first, second);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn black_hole_bypasses_the_table() {
-        let labels = Labels::new();
-        let idx = CreationIndex::new(&[]);
-        let cache = TagCache::new();
-        assert_eq!(cache.resolve(Address::ZERO, &labels, &idx), Tag::BlackHole);
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits() + cache.misses(), 0);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let labels = Labels::new();
-        let idx = CreationIndex::new(&[]);
-        let cache = TagCache::new();
-        cache.resolve(Address::from_u64(5), &labels, &idx);
-        cache.resolve(Address::from_u64(5), &labels, &idx);
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 0);
-    }
-
-    #[test]
-    fn shard_stats_cover_every_miss() {
-        let labels = Labels::new();
-        let idx = CreationIndex::new(&[rec(1, 2)]);
-        let cache = TagCache::new();
-        for a in 1u64..=40 {
-            cache.resolve(Address::from_u64(a), &labels, &idx);
-        }
-        let stats = cache.shard_stats();
-        assert_eq!(stats.iter().map(|s| s.inserts).sum::<u64>(), cache.misses());
-        assert_eq!(stats.iter().map(|s| s.entries).sum::<usize>(), cache.len());
-        assert_eq!(cache.misses(), 40);
-        assert_eq!(cache.hit_rate(), 0.0);
-        cache.resolve(Address::from_u64(1), &labels, &idx);
-        assert!(cache.hit_rate() > 0.0);
-    }
-
-    #[test]
     fn returned_front_is_reused() {
         let labels = Labels::new();
         let idx = CreationIndex::new(&[rec(1, 2)]);
@@ -934,8 +737,6 @@ mod tests {
         assert_eq!(front.resolve(a, &labels, &idx), tag_of(a, &labels, &idx));
         drop(front);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        // Scans leave the direct-resolve memo empty.
-        assert!(cache.is_empty());
     }
 
     #[test]

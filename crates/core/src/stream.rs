@@ -72,7 +72,7 @@ use crate::detector::{Analysis, ChainView, LeiShen};
 use crate::resilience::{
     payload_message, Fault, Quarantine, ResilienceConfig, Verdict,
 };
-use crate::scan::{ScanEngine, ScanStats, TagCache};
+use crate::scan::{ScanEngine, TagCache};
 use crate::store::{JournalConfig, Media, StoreError, VerdictJournal};
 use crate::telemetry::{MetricsSink, NoopSink};
 use crate::trace::{NoopTracer, TraceSink};
@@ -384,18 +384,6 @@ impl StreamReport {
     /// Stream positions of the quarantined transactions.
     pub fn quarantined_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.quarantines().map(|q| q.index)
-    }
-
-    /// The stream's totals in [`ScanStats`] shape (cache counters come
-    /// from the caller-owned [`TagCache`], which outlives the run).
-    pub fn scan_stats(&self, cache: &TagCache) -> ScanStats {
-        ScanStats {
-            transactions: self.transactions,
-            attacks: self.attacks,
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-            quarantined: self.quarantined,
-        }
     }
 }
 

@@ -15,7 +15,6 @@
 //!   a Uniswap pool; < 0.1% of accounts) → the account stays untaggable
 //!   (Fig. 7c).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -34,9 +33,9 @@ pub enum Tag {
     /// A DeFi application name (from the label cloud or propagated).
     ///
     /// Interned as `Arc<str>` so cloning a tag — which the simplification
-    /// and trade stages do constantly, and which a [`crate::scan::TagCache`]
-    /// hit does once per lookup — is a reference-count bump instead of a
-    /// string allocation.
+    /// and trade stages do constantly, and which a
+    /// [`crate::scan::LocalTagCache`] hit does once per lookup — is a
+    /// reference-count bump instead of a string allocation.
     App(Arc<str>),
     /// No tag anywhere in the creation tree: identified by the tree root.
     Root(Address),
@@ -91,61 +90,6 @@ impl fmt::Display for Tag {
             Tag::Unknown(addr) => write!(f, "?{}", addr.short()),
             Tag::BlackHole => write!(f, "BlackHole"),
         }
-    }
-}
-
-/// Address → [`Tag`] assignment for one transaction's accounts.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TagMap {
-    tags: HashMap<Address, Tag>,
-}
-
-impl TagMap {
-    /// Builds the tag map for every address in `addresses`.
-    pub fn build(
-        addresses: impl IntoIterator<Item = Address>,
-        labels: &Labels,
-        creations: &CreationIndex,
-    ) -> TagMap {
-        TagMap::build_with(addresses, |addr| tag_of(addr, labels, creations))
-    }
-
-    /// Builds the tag map with a caller-supplied resolver — e.g. a shared
-    /// [`crate::scan::TagCache`] so repeated addresses across a corpus
-    /// resolve once instead of once per transaction.
-    pub fn build_with(
-        addresses: impl IntoIterator<Item = Address>,
-        mut resolve: impl FnMut(Address) -> Tag,
-    ) -> TagMap {
-        let mut tags = HashMap::new();
-        for addr in addresses {
-            tags.entry(addr).or_insert_with(|| resolve(addr));
-        }
-        TagMap { tags }
-    }
-
-    /// Tag of `addr`. The zero address is [`Tag::BlackHole`]; an address
-    /// outside the built set falls back to `Tag::Root(addr)`, which is
-    /// only right for an address with no creator and no labelled relative,
-    /// so callers should build the map over all relevant addresses first.
-    pub fn get(&self, addr: Address) -> Tag {
-        if addr.is_zero() {
-            return Tag::BlackHole;
-        }
-        self.tags
-            .get(&addr)
-            .cloned()
-            .unwrap_or(Tag::Root(addr))
-    }
-
-    /// Number of tagged addresses.
-    pub fn len(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
     }
 }
 
@@ -207,39 +151,17 @@ pub fn tag_transfers(
     labels: &Labels,
     creations: &CreationIndex,
 ) -> Vec<TaggedTransfer> {
-    let addrs = transfers
-        .iter()
-        .flat_map(|t| [t.sender, t.receiver])
-        .filter(|a| !a.is_zero());
-    let map = TagMap::build(addrs, labels, creations);
-    transfers
-        .iter()
-        .map(|t| TaggedTransfer {
-            seq: t.seq,
-            sender: map.get(t.sender),
-            receiver: map.get(t.receiver),
-            amount: t.amount,
-            token: t.token,
-        })
-        .collect()
-}
-
-/// Tags a transaction's account-level transfers through a caller-supplied
-/// resolver (which must map the zero address to [`Tag::BlackHole`]). A
-/// memoizing resolver such as [`crate::scan::TagCache::resolve`] already
-/// deduplicates addresses, so no per-transaction [`TagMap`] is built.
-pub fn tag_transfers_with(
-    transfers: &[Transfer],
-    resolve: impl FnMut(Address) -> Tag,
-) -> Vec<TaggedTransfer> {
     let mut out = Vec::with_capacity(transfers.len());
-    tag_transfers_with_into(transfers, resolve, &mut out);
+    tag_transfers_with_into(transfers, |addr| tag_of(addr, labels, creations), &mut out);
     out
 }
 
-/// [`tag_transfers_with`] into a reused buffer (cleared first). The
-/// tagged list is transient in the full pipeline, so batch scanners keep
-/// one buffer per worker instead of allocating one per transaction.
+/// Tags a transaction's account-level transfers through a caller-supplied
+/// resolver (which must map the zero address to [`Tag::BlackHole`]), such
+/// as a scan worker's [`crate::scan::LocalTagCache`], into a reused
+/// buffer (cleared first). The tagged list is transient in the full
+/// pipeline, so batch scanners keep one buffer per worker instead of
+/// allocating one per transaction.
 pub fn tag_transfers_with_into(
     transfers: &[Transfer],
     mut resolve: impl FnMut(Address) -> Tag,
@@ -253,19 +175,6 @@ pub fn tag_transfers_with_into(
         amount: t.amount,
         token: t.token,
     }));
-}
-
-/// Whether two addresses belong to the same contract-creation tree.
-///
-/// Two accounts share ancestry when walking each one's creation chain
-/// upward lands on the same root creator — the condition under which
-/// [`tag_of`] gives them the same application tag (an attack contract and
-/// the mixer-laundered EOAs it spawns, for example). The scheduler uses
-/// this relation to keep such transactions on one worker, but it is also
-/// useful on its own for forensic grouping. The zero address belongs to
-/// no tree.
-pub fn shares_creation_ancestry(a: Address, b: Address, creations: &CreationIndex) -> bool {
-    !a.is_zero() && !b.is_zero() && creations.root(a) == creations.root(b)
 }
 
 #[cfg(test)]
@@ -319,23 +228,6 @@ mod tests {
         assert_eq!(tag_of(b1, &labels, &idx), Tag::Root(b1));
         // attacker EOA and its contract share one identity
         assert_eq!(tag_of(b1, &labels, &idx), tag_of(b3, &labels, &idx));
-    }
-
-    #[test]
-    fn creation_ancestry_is_shared_within_a_tree_and_nowhere_else() {
-        // d1 -> d2 -> {d3, d4}; d5 stands alone.
-        let d1 = Address::from_u64(31);
-        let d2 = Address::from_u64(32);
-        let d3 = Address::from_u64(33);
-        let d4 = Address::from_u64(34);
-        let d5 = Address::from_u64(35);
-        let idx = CreationIndex::new(&[rec(d1, d2), rec(d2, d3), rec(d2, d4)]);
-        assert!(shares_creation_ancestry(d3, d4, &idx));
-        assert!(shares_creation_ancestry(d1, d4, &idx));
-        assert!(shares_creation_ancestry(d3, d3, &idx));
-        assert!(!shares_creation_ancestry(d3, d5, &idx));
-        assert!(!shares_creation_ancestry(Address::ZERO, d1, &idx));
-        assert!(!shares_creation_ancestry(d1, Address::ZERO, &idx));
     }
 
     #[test]
